@@ -14,7 +14,7 @@
 //            payload bytes than a full dump
 //   time     their simulated checkpoint time is >= 10% below a full dump
 //   restore  restarting from the chain tip reproduces the failure-free
-//            array fingerprints of BOTH legs (base + deltas replayed,
+//            canonical-stream CRCs of BOTH legs (base + deltas replayed,
 //            newest block wins)
 //   verify   deep verify of the chain tip walks the whole chain clean
 //
@@ -25,16 +25,18 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "core/array_fingerprint.hpp"
 #include "core/checkpoint_catalog.hpp"
 #include "core/drms_context.hpp"
+#include "core/streamer.hpp"
 #include "json_writer.hpp"
 #include "piofs/volume.hpp"
 #include "rt/task_group.hpp"
 #include "sim/cost_model.hpp"
+#include "store/memory_backend.hpp"
 #include "store/piofs_backend.hpp"
 #include "support/error.hpp"
 #include "support/table.hpp"
@@ -108,6 +110,23 @@ void mutate_step(DistArray& u, DistArray& rhs, int rank, int gen) {
   local.insert(slab, buf);
 }
 
+/// COLLECTIVE: the CRC-32C of each array's canonical (column-major,
+/// distribution-independent) element stream, identical on every task.
+/// The untimed streamer writes the streams into `sink`, a scratch file.
+std::vector<std::uint32_t> stream_crcs(rt::TaskContext& ctx,
+                                       std::span<DistArray* const> arrays,
+                                       const store::FileHandle& sink) {
+  const core::ArrayStreamer streamer(nullptr, {});
+  std::vector<std::uint32_t> crcs;
+  for (DistArray* a : arrays) {
+    std::uint32_t crc = 0;
+    streamer.write_section(ctx, *a, a->global_box(), sink, 0, ctx.size(),
+                           &crc);
+    crcs.push_back(crc);
+  }
+  return crcs;
+}
+
 struct GenRecord {
   std::string kind;
   double seconds = 0.0;
@@ -119,11 +138,12 @@ struct GenRecord {
 
 struct LegResult {
   std::vector<GenRecord> gens;
-  /// array_fingerprint of u, rhs, forcing, lhs after the last generation.
-  std::vector<std::uint32_t> final_fingerprints;
-  /// Delta leg only: fingerprints after restoring from the chain tip in
-  /// a fresh program, and the chain-tip deep-verify outcome.
-  std::vector<std::uint32_t> restored_fingerprints;
+  /// Canonical-stream CRCs of u, rhs, forcing, lhs after the last
+  /// generation.
+  std::vector<std::uint32_t> final_crcs;
+  /// Delta leg only: the CRCs after restoring from the chain tip in a
+  /// fresh program, and the chain-tip deep-verify outcome.
+  std::vector<std::uint32_t> restored_crcs;
   bool verify_ok = true;
   std::vector<std::string> verify_problems;
   std::string tip_prefix;
@@ -142,6 +162,8 @@ LegResult run_leg(bool delta, const Params& p) {
   env.delta_block_bytes = 64 * kKiB;
   env.delta_codec = support::BlockCodec::kLz;
   DrmsProgram program(app, env, segment(), kTasks);
+  store::MemoryBackend scratch;
+  const store::FileHandle sink = scratch.create("stream");
 
   LegResult result;
   const std::array<int, 4> grid{1, 2, 2, 2};
@@ -199,11 +221,10 @@ LegResult run_leg(bool delta, const Params& p) {
       }
       ctx.barrier();
     }
-    for (DistArray* a : {&u, &rhs, &forcing, &lhs}) {
-      const std::uint32_t fp = core::array_fingerprint(ctx, *a);
-      if (ctx.rank() == 0) {
-        result.final_fingerprints.push_back(fp);
-      }
+    const std::array<DistArray*, 4> arrays{&u, &rhs, &forcing, &lhs};
+    const std::vector<std::uint32_t> crcs = stream_crcs(ctx, arrays, sink);
+    if (ctx.rank() == 0) {
+      result.final_crcs = crcs;
     }
   });
   if (!run.completed) {
@@ -227,7 +248,7 @@ LegResult run_leg(bool delta, const Params& p) {
   }
 
   // Restore leg: a fresh program restarts from the chain tip and must
-  // reproduce the failure-free fingerprints exactly.
+  // reproduce the failure-free stream CRCs exactly.
   DrmsEnv renv = env;
   renv.restart_prefix = result.tip_prefix;
   DrmsProgram restarted(app, renv, segment(), kTasks);
@@ -248,11 +269,10 @@ LegResult run_leg(bool delta, const Params& p) {
       drms.distribute(*a, spec);
     }
     ctx.barrier();
-    for (DistArray* a : {&u, &rhs, &forcing, &lhs}) {
-      const std::uint32_t fp = core::array_fingerprint(ctx, *a);
-      if (ctx.rank() == 0) {
-        result.restored_fingerprints.push_back(fp);
-      }
+    const std::array<DistArray*, 4> arrays{&u, &rhs, &forcing, &lhs};
+    const std::vector<std::uint32_t> crcs = stream_crcs(ctx, arrays, sink);
+    if (ctx.rank() == 0) {
+      result.restored_crcs = crcs;
     }
   });
   if (!rrun.completed) {
@@ -374,11 +394,9 @@ int main(int argc, char** argv) {
       full_seconds > 0.0
           ? 100.0 * (full_seconds - delta_seconds) / full_seconds
           : 0.0;
-  const bool fingerprints_match =
-      full.final_fingerprints == delta.final_fingerprints;
-  const bool restore_ok =
-      !delta.restored_fingerprints.empty() &&
-      delta.restored_fingerprints == delta.final_fingerprints;
+  const bool fingerprints_match = full.final_crcs == delta.final_crcs;
+  const bool restore_ok = !delta.restored_crcs.empty() &&
+                          delta.restored_crcs == delta.final_crcs;
 
   std::cout << "\nsteady-state delta generation: "
             << format_fixed(bytes_reduction, 1) << "% fewer bytes, "
@@ -410,7 +428,7 @@ int main(int argc, char** argv) {
   if (!restore_ok) {
     std::cerr << "REGRESSION: restoring from the chain tip ("
               << delta.tip_prefix
-              << ") did not reproduce the failure-free fingerprints\n";
+              << ") did not reproduce the failure-free stream CRCs\n";
     ok = false;
   }
   if (!delta.verify_ok) {

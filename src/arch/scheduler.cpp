@@ -58,7 +58,6 @@ bool JobScheduler::preempt_job(const std::string& job_name,
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // Tear the pool down; run_job's loop will relaunch from the state.
-  rt::TaskGroup* group = nullptr;
   {
     const std::lock_guard<std::mutex> lock(running_mutex_);
     if (running_.count(job_name) == 0) {
@@ -67,7 +66,6 @@ bool JobScheduler::preempt_job(const std::string& job_name,
   }
   // The cluster holds the group pointer; kill through it.
   cluster_.kill_pool(job_name, "preempted by the scheduler");
-  (void)group;
   if (log_ != nullptr) {
     log_->record(EventKind::kJobPreempted, "job=" + job_name);
   }
@@ -103,6 +101,11 @@ JobOutcome JobScheduler::run_job(const JobDescriptor& job) {
   JobOutcome outcome;
   int restarts = 0;
   for (;;) {
+    // A caller that sees the job's nodes must also find its program in
+    // running_, so request_checkpoint is held off from before the nodes
+    // are published until the program is registered (make_program runs
+    // under the lock for that reason).
+    std::unique_lock<std::mutex> launching(running_mutex_);
     const std::vector<int> nodes =
         cluster_.allocate(job.min_tasks, job.preferred_tasks, job.name);
     if (nodes.empty()) {
@@ -144,10 +147,8 @@ JobOutcome JobScheduler::run_job(const JobDescriptor& job) {
         sim::Placement(cluster_.machine(), nodes),
         job.seed + static_cast<std::uint64_t>(restarts) * 7919);
     cluster_.register_pool(job.name, &group);
-    {
-      const std::lock_guard<std::mutex> lock(running_mutex_);
-      running_[job.name] = program.get();
-    }
+    running_[job.name] = program.get();
+    launching.unlock();
     if (log_ != nullptr) {
       log_->record(have_checkpoint ? EventKind::kJobRestarted
                                    : EventKind::kJobLaunched,

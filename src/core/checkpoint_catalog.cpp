@@ -520,7 +520,7 @@ std::vector<FsckState> fsck_scan(const store::StorageBackend& storage,
           s.spmd ? g.spmd_files : g.drms_files;
       if (s.committed) {
         // Stray files in this state's namespace the manifest never
-        // published (e.g. an array dropped between incremental rounds).
+        // published (e.g. an array dropped before the prefix was reused).
         for (const auto& f : own) {
           if (manifest->entry(f) == nullptr) {
             s.problems.push_back(f + ": stray (not in commit manifest)");

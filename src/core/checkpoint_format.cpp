@@ -190,13 +190,6 @@ CommitManifest deserialize_manifest(support::ByteBuffer& in,
   return manifest;
 }
 
-void write_meta_file(store::StorageBackend& storage, const std::string& file,
-                     const CheckpointMeta& meta) {
-  support::ByteBuffer buf;
-  serialize_meta(meta, buf);
-  storage.create(file).write_at(0, buf.bytes());
-}
-
 CheckpointMeta read_meta_file(const store::StorageBackend& storage,
                               const std::string& file) {
   const store::FileHandle handle = storage.open(file);
@@ -222,14 +215,6 @@ const ArrayMeta& CheckpointMeta::array(const std::string& name) const {
                                    name + "'");
 }
 
-std::uint64_t CheckpointMeta::arrays_total_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& a : arrays) {
-    total += a.stream_bytes;
-  }
-  return total;
-}
-
 const CommitEntry* CommitManifest::entry(const std::string& name) const {
   for (const auto& e : entries) {
     if (e.name == name) {
@@ -237,14 +222,6 @@ const CommitEntry* CommitManifest::entry(const std::string& name) const {
     }
   }
   return nullptr;
-}
-
-std::uint64_t CommitManifest::listed_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& e : entries) {
-    total += e.size;
-  }
-  return total;
 }
 
 std::string commit_file_name(const std::string& prefix) {
@@ -283,13 +260,6 @@ support::ByteBuffer encode_commit_manifest(const CommitManifest& manifest) {
   return buf;
 }
 
-void write_commit_manifest(store::StorageBackend& storage,
-                           const std::string& prefix,
-                           const CommitManifest& manifest) {
-  const support::ByteBuffer buf = encode_commit_manifest(manifest);
-  storage.create(commit_file_name(prefix)).write_at(0, buf.bytes());
-}
-
 CommitManifest read_commit_manifest(const store::StorageBackend& storage,
                                     const std::string& prefix) {
   const std::string file = commit_file_name(prefix);
@@ -313,11 +283,6 @@ bool decommit_checkpoint(store::StorageBackend& storage,
   return true;
 }
 
-void write_checkpoint_meta(store::StorageBackend& storage, const std::string& prefix,
-                           const CheckpointMeta& meta) {
-  write_meta_file(storage, meta_file_name(prefix), meta);
-}
-
 CheckpointMeta read_checkpoint_meta(const store::StorageBackend& storage,
                                     const std::string& prefix) {
   return read_meta_file(storage, meta_file_name(prefix));
@@ -326,11 +291,6 @@ CheckpointMeta read_checkpoint_meta(const store::StorageBackend& storage,
 bool checkpoint_exists(const store::StorageBackend& storage,
                        const std::string& prefix) {
   return storage.exists(meta_file_name(prefix));
-}
-
-void write_spmd_meta(store::StorageBackend& storage, const std::string& prefix,
-                     const CheckpointMeta& meta) {
-  write_meta_file(storage, spmd_meta_file_name(prefix), meta);
 }
 
 CheckpointMeta read_spmd_meta(const store::StorageBackend& storage,

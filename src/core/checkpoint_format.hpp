@@ -121,7 +121,6 @@ struct CheckpointMeta {
   std::uint64_t delta_block_bytes = 0;
 
   [[nodiscard]] const ArrayMeta& array(const std::string& name) const;
-  [[nodiscard]] std::uint64_t arrays_total_bytes() const;
 };
 
 /// One file of a committed state as recorded in the commit manifest.
@@ -149,7 +148,6 @@ struct CommitManifest {
   std::string base_prefix;
 
   [[nodiscard]] const CommitEntry* entry(const std::string& name) const;
-  [[nodiscard]] std::uint64_t listed_bytes() const;
 };
 
 /// ---- file-name helpers ------------------------------------------------------
@@ -166,13 +164,11 @@ struct CommitManifest {
 
 /// ---- meta record I/O ---------------------------------------------------------
 /// Full on-volume image of a meta / manifest file ([crc][size][body]).
-/// Exposed so the engines can derive manifest CRCs and publication sizes
-/// from the exact bytes they are about to write.
+/// Exposed so the commit session can derive manifest CRCs and publication
+/// sizes from the exact bytes it is about to write.
 [[nodiscard]] support::ByteBuffer encode_checkpoint_meta(const CheckpointMeta& meta);
 [[nodiscard]] support::ByteBuffer encode_commit_manifest(const CommitManifest& manifest);
 
-void write_commit_manifest(store::StorageBackend& storage, const std::string& prefix,
-                           const CommitManifest& manifest);
 [[nodiscard]] CommitManifest read_commit_manifest(const store::StorageBackend& storage,
                                                   const std::string& prefix);
 [[nodiscard]] bool commit_manifest_exists(const store::StorageBackend& storage,
@@ -181,15 +177,11 @@ void write_commit_manifest(store::StorageBackend& storage, const std::string& pr
 /// overwriting a prefix). Returns true when a manifest was removed.
 bool decommit_checkpoint(store::StorageBackend& storage, const std::string& prefix);
 
-void write_checkpoint_meta(store::StorageBackend& storage, const std::string& prefix,
-                           const CheckpointMeta& meta);
 [[nodiscard]] CheckpointMeta read_checkpoint_meta(const store::StorageBackend& storage,
                                                   const std::string& prefix);
 [[nodiscard]] bool checkpoint_exists(const store::StorageBackend& storage,
                                      const std::string& prefix);
 
-void write_spmd_meta(store::StorageBackend& storage, const std::string& prefix,
-                     const CheckpointMeta& meta);
 [[nodiscard]] CheckpointMeta read_spmd_meta(const store::StorageBackend& storage,
                                             const std::string& prefix);
 [[nodiscard]] bool spmd_checkpoint_exists(const store::StorageBackend& storage,

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 
-#include "core/array_fingerprint.hpp"
 #include "core/exchange.hpp"
 #include "core/partial_restore.hpp"
 #include "core/streamer.hpp"
-#include "support/crc32.hpp"
 #include "support/error.hpp"
 #include "support/retry.hpp"
 
@@ -47,7 +45,75 @@ SegHeaderFields parse_segment_header(support::ByteBuffer& buf) {
   return h;
 }
 
+/// The generations a restore of `array` replays, full base first (a full
+/// generation is a one-link chain), and the base's recorded stream CRC.
+/// Every task resolves the chain itself — deterministic reads of shared
+/// metadata — keeping the collective apply aligned.
+struct ReplayChain {
+  std::vector<std::string> links;
+  std::uint32_t base_crc = 0;
+};
+
+ReplayChain replay_chain(const store::StorageBackend& storage,
+                         const std::string& prefix, const CheckpointMeta& meta,
+                         const DistArray& array) {
+  if (meta.kind == GenerationKind::kFull) {
+    return {{prefix}, meta.array(array.name()).stream_crc};
+  }
+  ReplayChain chain{resolve_checkpoint_chain(storage, prefix), 0};
+  const CheckpointMeta base_meta =
+      read_checkpoint_meta(storage, chain.links.front());
+  const ArrayMeta& base_am = base_meta.array(array.name());
+  DRMS_EXPECTS_MSG(base_am.box() == array.global_box() &&
+                       base_am.elem_size == array.elem_size(),
+                   "chain base array shape does not match declaration");
+  chain.base_crc = base_am.stream_crc;
+  return chain;
+}
+
+/// One delta link of a chain replay: `array`'s delta file under `link`,
+/// its stored-block records, and the block plan they index.
+struct DeltaLink {
+  store::FileHandle file;
+  std::vector<DeltaBlockRecord> records;
+  StreamPlan blocks;
+};
+
+DeltaLink open_delta_link(const store::StorageBackend& storage,
+                          const std::string& link, const DistArray& array) {
+  const std::string file_name = delta_array_file_name(link, array.name());
+  DeltaLink d{storage.open(file_name), {}, {}};
+  const DeltaFileHeader header = read_delta_header(d.file, file_name);
+  d.records = read_delta_index(d.file, header, file_name);
+  d.blocks = make_stream_plan(array.global_box(), array.elem_size(), 1,
+                              header.block_bytes);
+  if (d.blocks.chunk_count() != header.total_blocks) {
+    throw support::CorruptCheckpoint(
+        file_name + ": block plan disagrees with the array's shape");
+  }
+  return d;
+}
+
 }  // namespace
+
+/// The generation one write() produces, decided collectively at the
+/// entry barrier. Everything the write needs from the delta chain is
+/// copied in here by value: task 0 advances the chain after the commit,
+/// while the other tasks may still be inside write(), so the body never
+/// reads the DeltaChainState again.
+struct DrmsCheckpoint::GenerationPlan {
+  /// Options and chain were passed: task 0 advances the chain on commit.
+  bool chained = false;
+  /// A delta on `base_prefix`, `chain_depth` generations past the base.
+  bool delta = false;
+  std::string base_prefix;
+  std::int64_t chain_depth = 0;
+  std::uint64_t block_bytes = 0;
+  support::BlockCodec codec = support::BlockCodec::kRaw;
+  /// Delta only, per array: its stream-order block plan and dirty blocks.
+  std::vector<StreamPlan> blocks;
+  std::vector<std::vector<std::uint64_t>> dirty;
+};
 
 DrmsCheckpoint::DrmsCheckpoint(store::StorageBackend& storage,
                                sim::LoadContext load, int io_tasks,
@@ -58,7 +124,8 @@ DrmsCheckpoint::DrmsCheckpoint(store::StorageBackend& storage,
       io_tasks_(io_tasks),
       target_chunk_bytes_(target_chunk_bytes),
       jitter_(jitter),
-      recorder_(recorder) {}
+      recorder_(recorder),
+      session_(storage, load, recorder, "ckpt") {}
 
 int DrmsCheckpoint::effective_io_tasks(const rt::TaskContext& ctx) const {
   if (io_tasks_ <= 0) {
@@ -67,38 +134,42 @@ int DrmsCheckpoint::effective_io_tasks(const rt::TaskContext& ctx) const {
   return std::min(io_tasks_, ctx.size());
 }
 
-support::RetryPolicy DrmsCheckpoint::retry_policy(const char* what) const {
-  support::RetryPolicy policy;
-  policy.observer = recorder_;
-  policy.what = what;
-  if (io_session_active()) {
-    // Contending jobs desynchronize their retries: the per-job token id
-    // seeds deterministic backoff jitter (see support::retry_backoff).
-    policy.jitter_seed = io_job_->id();
+/// Every task reads the same chain and manifest state here, so every task
+/// takes the same branch. A delta rides on the live chain only while the
+/// chain is short enough, still committed, and does not contain this
+/// prefix — overwriting a chain member starts with a decommit, which
+/// would pull the base out from under its dependents.
+DrmsCheckpoint::GenerationPlan DrmsCheckpoint::plan_generation(
+    const std::string& prefix, std::span<DistArray* const> arrays,
+    const DeltaOptions* options, const DeltaChainState* chain) const {
+  GenerationPlan plan;
+  plan.chained = options != nullptr && chain != nullptr;
+  if (!plan.chained) {
+    return plan;
   }
-  return policy;
-}
-
-void DrmsCheckpoint::submit_io(const std::string& file, std::uint64_t bytes,
-                               std::function<void()> fn) {
-  if (!io_session_active()) {
-    fn();
-    return;
+  const std::vector<std::string>& links = chain->chain;
+  plan.delta =
+      !links.empty() &&
+      static_cast<int>(links.size()) < std::max(options->full_every_k, 1) &&
+      std::find(links.begin(), links.end(), prefix) == links.end() &&
+      commit_manifest_exists(storage_, links.back());
+  if (!plan.delta) {
+    return plan;
   }
-  // The queueing model prices the item at the backend's modeled write
-  // time (jitter-free: the shared RNG stream must not move).
-  const double sim_seconds =
-      storage_.charges_time()
-          ? storage_.single_write_seconds(bytes, load_, nullptr)
-          : 0.0;
-  (void)io_->submit(*io_job_, svc::Priority::kForeground, file, bytes,
-                    sim_seconds, std::move(fn));
-}
-
-void DrmsCheckpoint::io_barrier() {
-  if (io_session_active()) {
-    io_->barrier(*io_job_);
+  plan.base_prefix = links.back();
+  plan.chain_depth = static_cast<std::int64_t>(links.size());
+  plan.block_bytes = options->block_bytes;
+  plan.codec = options->codec;
+  // Dirty-block collection reads every task's mutation log, so it happens
+  // here, at the entry barrier, while the logs are quiescent.
+  plan.blocks.reserve(arrays.size());
+  plan.dirty.reserve(arrays.size());
+  for (DistArray* const a : arrays) {
+    plan.blocks.push_back(make_stream_plan(a->global_box(), a->elem_size(), 1,
+                                           plan.block_bytes));
+    plan.dirty.push_back(collect_dirty_blocks(*a, plan.blocks.back().chunks));
   }
+  return plan;
 }
 
 CheckpointTiming DrmsCheckpoint::write(rt::TaskContext& ctx,
@@ -108,7 +179,6 @@ CheckpointTiming DrmsCheckpoint::write(rt::TaskContext& ctx,
                                        const ReplicatedStore& store,
                                        std::span<DistArray* const> arrays,
                                        const AppSegmentModel& segment_model,
-                                       IncrementalState* incremental,
                                        const DeltaOptions* delta,
                                        DeltaChainState* chain) {
   for (DistArray* const a : arrays) {
@@ -117,43 +187,14 @@ CheckpointTiming DrmsCheckpoint::write(rt::TaskContext& ctx,
   }
   CheckpointTiming timing;
   ctx.barrier();
-
-  // --- Generation decision (collective-identical: derived from shared
-  // state read at the entry barrier). A delta rides on the live chain
-  // only while the chain is short enough, still committed, and does not
-  // contain this prefix — overwriting a chain member starts with a
-  // decommit, which would pull the base out from under its dependents.
-  const bool delta_mode = delta != nullptr && delta->enabled && chain != nullptr;
-  bool write_delta = false;
-  if (delta_mode) {
-    incremental = nullptr;  // chain replay subsumes whole-array skipping
-    write_delta =
-        !chain->chain.empty() &&
-        static_cast<int>(chain->chain.size()) < std::max(delta->full_every_k, 1) &&
-        std::find(chain->chain.begin(), chain->chain.end(), prefix) ==
-            chain->chain.end() &&
-        commit_manifest_exists(storage_, chain->chain.back());
-  }
-  // Dirty-block collection reads every task's mutation log, so it happens
-  // here, at the entry barrier, while the logs are quiescent.
-  std::vector<StreamPlan> plans;
-  std::vector<std::vector<std::uint64_t>> dirty;
-  if (write_delta) {
-    plans.reserve(arrays.size());
-    dirty.reserve(arrays.size());
-    for (DistArray* const a : arrays) {
-      plans.push_back(make_stream_plan(a->global_box(), a->elem_size(), 1,
-                                       delta->block_bytes));
-      dirty.push_back(collect_dirty_blocks(*a, plans.back().chunks));
-    }
-  }
+  const GenerationPlan plan = plan_generation(prefix, arrays, delta, chain);
 
   const double t0 = ctx.sim_time();
   obs::ScopedSpan op_span(
       recorder_, "ckpt", "write", ctx.rank(), t0,
       {obs::Attr::str("prefix", prefix),
        obs::Attr::num("arrays", static_cast<std::int64_t>(arrays.size())),
-       obs::Attr::str("kind", write_delta ? "delta" : "full")});
+       obs::Attr::str("kind", plan.delta ? "delta" : "full")});
 
   // --- Phase 1: one representative task writes the shared data segment.
   support::ByteBuffer replicated;
@@ -163,53 +204,31 @@ CheckpointTiming DrmsCheckpoint::write(rt::TaskContext& ctx,
   // (Table 4's local/private/system sections) are identical to the base's
   // and are not re-dumped — only the replicated payload moves.
   const std::uint64_t total_bytes =
-      write_delta ? payload_end : std::max(segment_model.total(), payload_end);
+      plan.delta ? payload_end : std::max(segment_model.total(), payload_end);
 
-  obs::ScopedSpan segment_span(recorder_, "ckpt", "segment", ctx.rank(), t0,
-                               {obs::Attr::num("bytes", static_cast<std::int64_t>(
-                                                            total_bytes))});
-  // With an attached session, queued items may still be in flight when an
-  // exception unwinds write() — drain them before locals they reference
-  // go out of scope (queued errors are dropped; the original propagates).
-  struct DrainOnUnwind {
-    DrmsCheckpoint* self;
-    ~DrainOnUnwind() {
-      try {
-        self->io_barrier();
-      } catch (...) {  // NOLINT(bugprone-empty-catch)
-      }
-    }
-  } drain_on_unwind{this};
+  obs::ScopedSpan segment_span(
+      recorder_, "ckpt", "segment", ctx.rank(), t0,
+      {obs::Attr::num("bytes", static_cast<std::int64_t>(total_bytes))});
+  const CommitSession::DrainGuard drain(session_);
 
   if (ctx.rank() == 0) {
-    // Decommit before the first overwrite: once any file under this
-    // prefix is touched, the previous state here must not look committed.
-    {
-      obs::ScopedSpan decommit_span(recorder_, "ckpt", "decommit", 0,
-                                    ctx.sim_time());
-      submit_io(commit_file_name(prefix), 0, [this, &prefix] {
-        support::retry_io([&] { decommit_checkpoint(storage_, prefix); },
-                          retry_policy("decommit"));
-      });
-      io_barrier();  // prefix files are untouchable until this completes
-      decommit_span.end(ctx.sim_time());
-    }
+    session_.decommit(ctx, prefix);
     // The whole segment-file sequence is ONE queued item: its steps are
     // internally ordered, and sharding by file name lets it overlap the
     // array creates below on another shard.
-    submit_io(
+    session_.submit(
         segment_file_name(prefix), total_bytes,
         [this, &prefix, &replicated, total_bytes, payload_end,
          header = make_segment_header(
              SegHeaderFields{replicated.size(), total_bytes})] {
           store::FileHandle seg = support::retry_io(
               [&] { return storage_.create(segment_file_name(prefix)); },
-              retry_policy("segment.create"));
+              session_.retry_policy("segment.create"));
           support::retry_io([&] { seg.write_at(0, header.bytes()); },
-                            retry_policy("segment.write"));
+                            session_.retry_policy("segment.write"));
           support::retry_io(
               [&] { seg.write_at(kSegHeaderBytes, replicated.bytes()); },
-              retry_policy("segment.write"));
+              session_.retry_policy("segment.write"));
           if (total_bytes > payload_end) {
             // The private/system/local-section components of the data
             // segment: logically written (time and size accounted),
@@ -218,7 +237,7 @@ CheckpointTiming DrmsCheckpoint::write(rt::TaskContext& ctx,
                 [&] {
                   seg.write_zeros_at(payload_end, total_bytes - payload_end);
                 },
-                retry_policy("segment.write"));
+                session_.retry_policy("segment.write"));
           }
         });
   }
@@ -232,61 +251,19 @@ CheckpointTiming DrmsCheckpoint::write(rt::TaskContext& ctx,
 
   // --- Phase 2: stream every distributed array, in sequence.
   const double t1 = ctx.sim_time();
-
-  // Incremental dirty detection: an array keeps its existing file when
-  // its fingerprint matches the one recorded at the previous checkpoint
-  // under this prefix AND that file is present with the expected size.
-  // The decision is derived from collective-identical values, so every
-  // task takes the same branch.
-  std::vector<bool> skip(arrays.size(), false);
-  std::vector<std::uint32_t> fingerprints(arrays.size(), 0);
-  std::vector<std::uint32_t> previous_crcs(arrays.size(), 0);
-  if (incremental != nullptr) {
-    const bool same_prefix = incremental->prefix == prefix;
-    // Stream CRCs of the previous checkpoint, for arrays we may keep.
-    if (same_prefix && checkpoint_exists(storage_, prefix)) {
-      const CheckpointMeta previous = read_checkpoint_meta(storage_, prefix);
-      for (std::size_t i = 0; i < arrays.size(); ++i) {
-        for (const auto& am : previous.arrays) {
-          if (am.name == arrays[i]->name()) {
-            previous_crcs[i] = am.stream_crc;
-          }
-        }
-      }
-    }
-    for (std::size_t i = 0; i < arrays.size(); ++i) {
-      fingerprints[i] = array_fingerprint(ctx, *arrays[i]);
-      if (!same_prefix) {
-        continue;
-      }
-      const auto it = incremental->fingerprints.find(arrays[i]->name());
-      if (it == incremental->fingerprints.end() ||
-          it->second != fingerprints[i]) {
-        continue;
-      }
-      const std::string file_name =
-          array_file_name(prefix, arrays[i]->name());
-      skip[i] = storage_.exists(file_name) &&
-                storage_.file_size(file_name) ==
-                    arrays[i]->global_byte_count();
-    }
-  }
-
   if (ctx.rank() == 0) {
-    for (std::size_t i = 0; i < arrays.size(); ++i) {
-      if (!skip[i]) {
-        const std::string file_name =
-            write_delta ? delta_array_file_name(prefix, arrays[i]->name())
-                        : array_file_name(prefix, arrays[i]->name());
-        submit_io(file_name, 0, [this, file_name] {
-          support::retry_io([&] { storage_.create(file_name); },
-                            retry_policy("array.create"));
-        });
-      }
+    for (DistArray* const a : arrays) {
+      const std::string file_name =
+          plan.delta ? delta_array_file_name(prefix, a->name())
+                     : array_file_name(prefix, a->name());
+      session_.submit(file_name, 0, [this, file_name] {
+        support::retry_io([&] { storage_.create(file_name); },
+                          session_.retry_policy("array.create"));
+      });
     }
     // Everything queued so far — the segment sequence and the array
     // creates — must be durable before any rank opens these files.
-    io_barrier();
+    session_.barrier();
   }
   ctx.barrier();
 
@@ -298,206 +275,138 @@ CheckpointTiming DrmsCheckpoint::write(rt::TaskContext& ctx,
   meta.task_count = ctx.size();
   meta.sop = sop;
   meta.segment_bytes = total_bytes;
-  int skipped = 0;
-  std::uint64_t skipped_bytes = 0;
-  for (std::size_t i = 0; i < arrays.size(); ++i) {
-    DistArray* const a = arrays[i];
-    std::uint64_t bytes = a->global_byte_count();
-    std::uint32_t crc = 0;
-    ArrayMeta am;
-    if (write_delta) {
-      obs::ScopedSpan array_span(
-          recorder_, "ckpt", "array.delta", ctx.rank(), ctx.sim_time(),
-          {obs::Attr::str("array", a->name()),
-           obs::Attr::num("blocks",
-                          static_cast<std::int64_t>(dirty[i].size()))});
-      const std::string file_name = delta_array_file_name(prefix, a->name());
-      store::FileHandle file = storage_.open(file_name);
-      const ArrayStreamer::DeltaWriteResult res = streamer.write_delta_blocks(
-          ctx, *a, plans[i], dirty[i], file, writers, delta->codec);
-      // Rank 0 publishes the framed index and then the header — the
-      // header lands LAST, so a torn delta file has no valid header and
-      // the reader rejects it outright.
-      DeltaFileHeader h;
-      h.block_bytes = delta->block_bytes;
-      h.total_blocks = plans[i].chunk_count();
-      h.record_count = res.records.size();
-      h.payload_bytes = res.stored_bytes;
-      h.raw_bytes = res.raw_bytes;
-      h.index_offset = wire::kDeltaHeaderBytes + res.stored_bytes;
-      support::ByteBuffer index_buf = encode_delta_index(res.records);
-      const std::uint64_t tail_bytes =
-          wire::kDeltaHeaderBytes + index_buf.size();
-      bytes = h.index_offset + index_buf.size();
-      if (ctx.rank() == 0) {
-        submit_io(file_name, tail_bytes,
-                  [this, file_name, index = std::move(index_buf),
-                   header = encode_delta_header(h),
-                   index_offset = h.index_offset] {
-                    store::FileHandle f = support::retry_io(
-                        [&] { return storage_.open(file_name); },
-                        retry_policy("delta.open"));
-                    support::retry_io(
-                        [&] { f.write_at(index_offset, index.bytes()); },
-                        retry_policy("delta.index"));
-                    support::retry_io([&] { f.write_at(0, header.bytes()); },
-                                      retry_policy("delta.header"));
-                  });
-      }
-      if (storage_.charges_time()) {
-        ctx.charge(storage_.single_write_seconds(tail_bytes, load_, nullptr));
-      }
-      am.raw_bytes = res.raw_bytes;
-      am.stored_bytes = res.stored_bytes;
-      am.dirty_blocks = res.records.size();
-      am.total_blocks = plans[i].chunk_count();
-      array_span.end(ctx.sim_time());
-    } else if (skip[i]) {
-      ++skipped;
-      skipped_bytes += bytes;
-      // The file is untouched; carry the CRC it was written with.
-      crc = previous_crcs[i];
-      if (recorder_ != nullptr) {
-        recorder_->instant("ckpt", "array.skip", ctx.rank(), ctx.sim_time(),
-                           {obs::Attr::str("array", a->name()),
-                            obs::Attr::num("bytes",
-                                           static_cast<std::int64_t>(bytes))});
-      }
-    } else {
-      obs::ScopedSpan array_span(
-          recorder_, "ckpt", "array", ctx.rank(), ctx.sim_time(),
-          {obs::Attr::str("array", a->name()),
-           obs::Attr::num("bytes", static_cast<std::int64_t>(bytes))});
-      store::FileHandle file =
-          storage_.open(array_file_name(prefix, a->name()));
-      bytes = streamer.write_section(ctx, *a, a->global_box(), file, 0,
-                                     writers, &crc);
-      array_span.end(ctx.sim_time());
-    }
-    am.name = a->name();
-    for (int k = 0; k < a->global_box().rank(); ++k) {
-      am.lower.push_back(a->global_box().range(k).first());
-      am.upper.push_back(a->global_box().range(k).last());
-    }
-    am.elem_size = a->elem_size();
-    am.stream_bytes = bytes;
-    am.stream_crc = crc;
-    meta.arrays.push_back(std::move(am));
-  }
-  if (write_delta) {
-    meta.kind = GenerationKind::kDelta;
-    meta.base_prefix = chain->chain.back();
-    meta.chain_depth = static_cast<std::int64_t>(chain->chain.size());
-    meta.delta_block_bytes = delta->block_bytes;
-  }
-
-  // --- Publication: meta record, then the commit manifest as the LAST
-  // write. Built on every task (from collective-identical values) so the
-  // modeled commit overhead is identical everywhere; written by task 0.
-  const support::ByteBuffer meta_buf = encode_checkpoint_meta(meta);
   CommitManifest manifest;
-  manifest.spmd = false;
-  manifest.base_prefix = meta.base_prefix;
-  manifest.entries.push_back(CommitEntry{meta_file_name(prefix),
-                                         meta_buf.size(),
-                                         support::crc32c(meta_buf.bytes()),
-                                         true});
   manifest.entries.push_back(
       CommitEntry{segment_file_name(prefix), total_bytes, 0, false});
-  for (const auto& am : meta.arrays) {
-    if (write_delta) {
+  for (std::size_t i = 0; i < arrays.size(); ++i) {
+    const DistArray& a = *arrays[i];
+    ArrayMeta am;
+    am.name = a.name();
+    for (int k = 0; k < a.global_box().rank(); ++k) {
+      am.lower.push_back(a.global_box().range(k).first());
+      am.upper.push_back(a.global_box().range(k).last());
+    }
+    am.elem_size = a.elem_size();
+    if (plan.delta) {
+      write_delta_array(ctx, streamer, prefix, a, plan, i, writers, am);
       // Delta files carry their integrity inside (framed index + per-block
       // CRCs); the manifest records presence and size only.
       manifest.entries.push_back(CommitEntry{
           delta_array_file_name(prefix, am.name), am.stream_bytes, 0, false});
     } else {
+      obs::ScopedSpan array_span(
+          recorder_, "ckpt", "array", ctx.rank(), ctx.sim_time(),
+          {obs::Attr::str("array", a.name()),
+           obs::Attr::num("bytes",
+                          static_cast<std::int64_t>(a.global_byte_count()))});
+      store::FileHandle file = storage_.open(array_file_name(prefix, a.name()));
+      am.stream_bytes = streamer.write_section(ctx, a, a.global_box(), file, 0,
+                                               writers, &am.stream_crc);
+      array_span.end(ctx.sim_time());
       manifest.entries.push_back(CommitEntry{array_file_name(prefix, am.name),
                                              am.stream_bytes, am.stream_crc,
                                              true});
     }
+    meta.arrays.push_back(std::move(am));
   }
-  const support::ByteBuffer manifest_buf = encode_commit_manifest(manifest);
+  if (plan.delta) {
+    meta.kind = GenerationKind::kDelta;
+    meta.base_prefix = plan.base_prefix;
+    meta.chain_depth = plan.chain_depth;
+    meta.delta_block_bytes = plan.block_bytes;
+  }
 
-  if (ctx.rank() == 0) {
-    {
-      obs::ScopedSpan meta_span(recorder_, "ckpt", "meta", 0,
-                                ctx.sim_time());
-      submit_io(meta_file_name(prefix), meta_buf.size(),
-                [this, &prefix, &meta_buf] {
-                  support::retry_io(
-                      [&] {
-                        storage_.create(meta_file_name(prefix))
-                            .write_at(0, meta_buf.bytes());
-                      },
-                      retry_policy("meta.write"));
-                });
-      meta_span.end(ctx.sim_time());
+  // --- Publication: meta record, then the commit manifest as the LAST
+  // write.
+  timing.commit_seconds = session_.publish(ctx, prefix, meta_file_name(prefix),
+                                           meta, std::move(manifest));
+  if (plan.chained && ctx.rank() == 0) {
+    // The generation is durable: advance the chain and retire the
+    // mutations it captured. Task 0 only, between barriers — every task
+    // read the chain in plan_generation before the segment barrier, and
+    // the other tasks touch neither the chain state nor the logs now.
+    if (plan.delta) {
+      chain->chain.push_back(prefix);
+    } else {
+      chain->chain.assign(1, prefix);
     }
-    if (incremental != nullptr) {
-      incremental->prefix = prefix;
-      for (std::size_t i = 0; i < arrays.size(); ++i) {
-        incremental->fingerprints[arrays[i]->name()] = fingerprints[i];
-      }
-      incremental->arrays_skipped = skipped;
-      incremental->bytes_skipped = skipped_bytes;
+    chain->last_kind =
+        plan.delta ? GenerationKind::kDelta : GenerationKind::kFull;
+    chain->last_raw_bytes = 0;
+    chain->last_stored_bytes = 0;
+    chain->last_dirty_blocks = 0;
+    chain->last_total_blocks = 0;
+    for (const auto& am : meta.arrays) {
+      chain->last_raw_bytes += plan.delta ? am.raw_bytes : am.stream_bytes;
+      chain->last_stored_bytes +=
+          plan.delta ? am.stored_bytes : am.stream_bytes;
+      chain->last_dirty_blocks += am.dirty_blocks;
+      chain->last_total_blocks += am.total_blocks;
     }
-    obs::ScopedSpan commit_span(recorder_, "ckpt", "commit", 0,
-                                ctx.sim_time());
-    // Explicit completion barrier: the commit manifest is the LAST write
-    // of the checkpoint, so every queued item (meta included) must be
-    // durable before it is even submitted.
-    io_barrier();
-    submit_io(commit_file_name(prefix), manifest_buf.size(),
-              [this, &prefix, &manifest_buf] {
-                support::retry_io(
-                    [&] {
-                      storage_.create(commit_file_name(prefix))
-                          .write_at(0, manifest_buf.bytes());
-                    },
-                    retry_policy("commit.write"));
-              });
-    io_barrier();
-    commit_span.end(ctx.sim_time());
-    if (delta_mode) {
-      // The generation is durable: advance the chain and retire the
-      // mutations it captured. Task 0 only, between barriers — the other
-      // tasks are already headed to the exit barrier and touch neither
-      // the chain state nor the logs.
-      if (write_delta) {
-        chain->chain.push_back(prefix);
-      } else {
-        chain->chain.assign(1, prefix);
-      }
-      chain->last_kind = write_delta ? GenerationKind::kDelta
-                                     : GenerationKind::kFull;
-      chain->last_raw_bytes = 0;
-      chain->last_stored_bytes = 0;
-      chain->last_dirty_blocks = 0;
-      chain->last_total_blocks = 0;
-      for (const auto& am : meta.arrays) {
-        chain->last_raw_bytes += write_delta ? am.raw_bytes : am.stream_bytes;
-        chain->last_stored_bytes +=
-            write_delta ? am.stored_bytes : am.stream_bytes;
-        chain->last_dirty_blocks += am.dirty_blocks;
-        chain->last_total_blocks += am.total_blocks;
-      }
-      for (DistArray* const a : arrays) {
-        a->clear_mutation_logs();
-      }
+    for (DistArray* const a : arrays) {
+      a->clear_mutation_logs();
     }
-  }
-  // Modeled (not charged) publication cost: meta + manifest land in one
-  // small write burst. Kept out of the phase clocks so the paper's
-  // Table 5/6 numbers are unchanged; no jitter draw either (the shared
-  // RNG stream must stay identical with commit enabled).
-  if (storage_.charges_time()) {
-    timing.commit_seconds = storage_.single_write_seconds(
-        meta_buf.size() + manifest_buf.size(), load_, nullptr);
   }
   ctx.barrier();
   timing.arrays_seconds = ctx.sim_time() - t1;
   op_span.end(ctx.sim_time());
   return timing;
+}
+
+void DrmsCheckpoint::write_delta_array(rt::TaskContext& ctx,
+                                       const ArrayStreamer& streamer,
+                                       const std::string& prefix,
+                                       const DistArray& array,
+                                       const GenerationPlan& plan,
+                                       std::size_t index, int writers,
+                                       ArrayMeta& am) {
+  const StreamPlan& blocks = plan.blocks[index];
+  const std::vector<std::uint64_t>& dirty = plan.dirty[index];
+  obs::ScopedSpan array_span(
+      recorder_, "ckpt", "array.delta", ctx.rank(), ctx.sim_time(),
+      {obs::Attr::str("array", array.name()),
+       obs::Attr::num("blocks", static_cast<std::int64_t>(dirty.size()))});
+  const std::string file_name = delta_array_file_name(prefix, array.name());
+  store::FileHandle file = storage_.open(file_name);
+  const ArrayStreamer::DeltaWriteResult res = streamer.write_delta_blocks(
+      ctx, array, blocks, dirty, file, writers, plan.codec);
+  // Rank 0 publishes the framed index and then the header — the header
+  // lands LAST, so a torn delta file has no valid header and the reader
+  // rejects it outright.
+  DeltaFileHeader h;
+  h.block_bytes = plan.block_bytes;
+  h.total_blocks = blocks.chunk_count();
+  h.record_count = res.records.size();
+  h.payload_bytes = res.stored_bytes;
+  h.raw_bytes = res.raw_bytes;
+  h.index_offset = wire::kDeltaHeaderBytes + res.stored_bytes;
+  support::ByteBuffer index_buf = encode_delta_index(res.records);
+  const std::uint64_t tail_bytes = wire::kDeltaHeaderBytes + index_buf.size();
+  am.stream_bytes = h.index_offset + index_buf.size();
+  if (ctx.rank() == 0) {
+    session_.submit(file_name, tail_bytes,
+                    [this, file_name, index = std::move(index_buf),
+                     header = encode_delta_header(h),
+                     index_offset = h.index_offset] {
+                      store::FileHandle f = support::retry_io(
+                          [&] { return storage_.open(file_name); },
+                          session_.retry_policy("delta.open"));
+                      support::retry_io(
+                          [&] { f.write_at(index_offset, index.bytes()); },
+                          session_.retry_policy("delta.index"));
+                      support::retry_io(
+                          [&] { f.write_at(0, header.bytes()); },
+                          session_.retry_policy("delta.header"));
+                    });
+  }
+  if (storage_.charges_time()) {
+    ctx.charge(storage_.single_write_seconds(tail_bytes, load_, nullptr));
+  }
+  am.raw_bytes = res.raw_bytes;
+  am.stored_bytes = res.stored_bytes;
+  am.dirty_blocks = res.records.size();
+  am.total_blocks = blocks.chunk_count();
+  array_span.end(ctx.sim_time());
 }
 
 CheckpointMeta DrmsCheckpoint::restore_segment(
@@ -565,59 +474,24 @@ void DrmsCheckpoint::restore_array(rt::TaskContext& ctx,
   const ArrayStreamer streamer(&storage_, load_, target_chunk_bytes_,
                                jitter_, recorder_);
   const int readers = effective_io_tasks(ctx);
-  if (meta.kind == GenerationKind::kFull) {
-    const store::FileHandle file =
-        storage_.open(array_file_name(prefix, array.name()));
-    std::uint32_t crc = 0;
-    streamer.read_section(ctx, array, array.global_box(), file, 0, readers,
-                          &crc);
-    if (crc != am.stream_crc) {
-      throw support::CorruptCheckpoint(
-          "array file for '" + array.name() +
-          "' is corrupt or torn (stream CRC mismatch)");
-    }
-  } else {
-    // Chain replay: the full base streams in first, then every delta's
-    // stored blocks scatter on top, oldest first — the newest write of
-    // each block wins. Every task resolves the chain and reads the delta
-    // indexes itself (deterministic reads of shared metadata), keeping
-    // the collective apply aligned.
-    const std::vector<std::string> links =
-        resolve_checkpoint_chain(storage_, prefix);
-    const CheckpointMeta base_meta =
-        read_checkpoint_meta(storage_, links.front());
-    const ArrayMeta& base_am = base_meta.array(array.name());
-    DRMS_EXPECTS_MSG(base_am.box() == array.global_box() &&
-                         base_am.elem_size == array.elem_size(),
-                     "chain base array shape does not match declaration");
-    {
-      const store::FileHandle base_file =
-          storage_.open(array_file_name(links.front(), array.name()));
-      std::uint32_t crc = 0;
-      streamer.read_section(ctx, array, array.global_box(), base_file, 0,
-                            readers, &crc);
-      if (crc != base_am.stream_crc) {
-        throw support::CorruptCheckpoint(
-            "chain base array file for '" + array.name() +
-            "' is corrupt or torn (stream CRC mismatch)");
-      }
-    }
-    for (std::size_t g = 1; g < links.size(); ++g) {
-      const std::string file_name =
-          delta_array_file_name(links[g], array.name());
-      const store::FileHandle file = storage_.open(file_name);
-      const DeltaFileHeader header = read_delta_header(file, file_name);
-      const std::vector<DeltaBlockRecord> records =
-          read_delta_index(file, header, file_name);
-      const StreamPlan blocks = make_stream_plan(
-          array.global_box(), array.elem_size(), 1, header.block_bytes);
-      if (blocks.chunk_count() != header.total_blocks) {
-        throw support::CorruptCheckpoint(
-            file_name + ": block plan disagrees with the array's shape");
-      }
-      streamer.apply_delta_blocks(ctx, array, blocks, records, file,
-                                  readers);
-    }
+  // A delta generation replays its chain: the full base streams in
+  // first, then every delta's stored blocks scatter on top, oldest first
+  // — the newest write of each block wins.
+  const ReplayChain chain = replay_chain(storage_, prefix, meta, array);
+  const store::FileHandle base_file =
+      storage_.open(array_file_name(chain.links.front(), array.name()));
+  std::uint32_t crc = 0;
+  streamer.read_section(ctx, array, array.global_box(), base_file, 0, readers,
+                        &crc);
+  if (crc != chain.base_crc) {
+    throw support::CorruptCheckpoint(
+        "array file for '" + array.name() + "' of generation '" +
+        chain.links.front() + "' is corrupt or torn (stream CRC mismatch)");
+  }
+  for (std::size_t g = 1; g < chain.links.size(); ++g) {
+    const DeltaLink link = open_delta_link(storage_, chain.links[g], array);
+    streamer.apply_delta_blocks(ctx, array, link.blocks, link.records,
+                                link.file, readers);
   }
   ctx.barrier();
   timing.arrays_seconds += ctx.sim_time() - t0;
@@ -681,16 +555,8 @@ std::uint64_t DrmsCheckpoint::restore_array_sections(
   }
 
   // Delta generations read their chain base's stream, then replay blocks.
-  std::vector<std::string> links{prefix};
-  if (meta.kind != GenerationKind::kFull) {
-    links = resolve_checkpoint_chain(storage_, prefix);
-    const CheckpointMeta base_meta =
-        read_checkpoint_meta(storage_, links.front());
-    const ArrayMeta& base_am = base_meta.array(array.name());
-    DRMS_EXPECTS_MSG(base_am.box() == array.global_box() &&
-                         base_am.elem_size == array.elem_size(),
-                     "chain base array shape does not match declaration");
-  }
+  const std::vector<std::string> links =
+      replay_chain(storage_, prefix, meta, array).links;
 
   const std::string base_name = array_file_name(links.front(), array.name());
   const store::FileHandle base_file = storage_.open(base_name);
@@ -721,23 +587,11 @@ std::uint64_t DrmsCheckpoint::restore_array_sections(
       // stream visits the run's own index space in its column-major
       // order, so the raw file bytes land in the staging array as-is.
       staging = LocalArray(run.slice, elem);
-      const auto read_run = [&] {
+      session_.read(base_name, run.bytes, [&] {
         support::retry_io(
             [&] { base_file.read_at_into(run.byte_offset, staging.bytes()); },
-            retry_policy("partial-restore read"));
-      };
-      if (io_session_active()) {
-        const double sim_seconds =
-            storage_.charges_time()
-                ? storage_.stream_read_round_seconds(run.bytes, 1, load_,
-                                                     nullptr)
-                : 0.0;
-        io_->submit(*io_job_, svc::Priority::kRestore, base_name, run.bytes,
-                    sim_seconds, read_run)
-            .wait();
-      } else {
-        read_run();
-      }
+            session_.retry_policy("partial-restore read"));
+      });
     }
     exchange_sections(ctx, src, me < active ? &staging : nullptr, dst_mapped,
                       &array.local(me), elem, recorder_);
@@ -747,17 +601,14 @@ std::uint64_t DrmsCheckpoint::restore_array_sections(
   // is bytes-proportional with a single per-phase latency — NOT a
   // latency charge per run, which would make a small partial restore of
   // many short runs cost more than one big sequential stream and break
-  // the failed-fraction scaling the partial path exists for.
+  // the failed-fraction scaling the partial path exists for. (So far
+  // total_bytes counts the base runs only.)
   if (storage_.charges_time()) {
-    std::uint64_t base_bytes = 0;
-    for (const StreamRun& c : chunks) {
-      base_bytes += c.bytes;
-    }
     const int width = static_cast<int>(
         std::min<std::size_t>(static_cast<std::size_t>(readers),
                               chunks.size()));
     ctx.charge(storage_.stream_read_round_seconds(
-        base_bytes, std::max(width, 1), load_,
+        total_bytes, std::max(width, 1), load_,
         jitter_ ? &ctx.shared_rng() : nullptr));
   }
 
@@ -767,23 +618,14 @@ std::uint64_t DrmsCheckpoint::restore_array_sections(
   // (same SOP), so over-coverage is harmless; blocks never dirtied stay
   // at the base values just read, exactly as in a full replay. Per-block
   // CRCs still verify inside apply_delta_blocks.
+  const ArrayStreamer streamer(&storage_, load_, target_chunk_bytes_,
+                               jitter_, recorder_);
   for (std::size_t g = 1; g < links.size(); ++g) {
-    const std::string file_name =
-        delta_array_file_name(links[g], array.name());
-    const store::FileHandle file = storage_.open(file_name);
-    const DeltaFileHeader header = read_delta_header(file, file_name);
-    const std::vector<DeltaBlockRecord> records =
-        read_delta_index(file, header, file_name);
-    const StreamPlan blocks = make_stream_plan(array.global_box(), elem, 1,
-                                               header.block_bytes);
-    if (blocks.chunk_count() != header.total_blocks) {
-      throw support::CorruptCheckpoint(
-          file_name + ": block plan disagrees with the array's shape");
-    }
+    const DeltaLink link = open_delta_link(storage_, links[g], array);
     std::vector<DeltaBlockRecord> touching;
-    for (const DeltaBlockRecord& rec : records) {
+    for (const DeltaBlockRecord& rec : link.records) {
       const Slice& block =
-          blocks.chunks[static_cast<std::size_t>(rec.block_index)];
+          link.blocks.chunks[static_cast<std::size_t>(rec.block_index)];
       for (const Slice& s : sections) {
         if (!block.intersect(s).empty()) {
           touching.push_back(rec);
@@ -792,9 +634,8 @@ std::uint64_t DrmsCheckpoint::restore_array_sections(
         }
       }
     }
-    const ArrayStreamer streamer(&storage_, load_, target_chunk_bytes_,
-                                 jitter_, recorder_);
-    streamer.apply_delta_blocks(ctx, array, blocks, touching, file, readers);
+    streamer.apply_delta_blocks(ctx, array, link.blocks, touching, link.file,
+                                readers);
   }
 
   ctx.barrier();

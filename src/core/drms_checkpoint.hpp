@@ -12,11 +12,11 @@
 // independent of the task count, so the restart group may be any size.
 #pragma once
 
-#include <map>
 #include <span>
 #include <string>
 
 #include "core/checkpoint_format.hpp"
+#include "core/commit_session.hpp"
 #include "core/dist_array.hpp"
 #include "core/replicated_store.hpp"
 #include "obs/recorder.hpp"
@@ -27,6 +27,8 @@
 #include "svc/io_scheduler.hpp"
 
 namespace drms::core {
+
+class ArrayStreamer;
 
 /// Simulated-time components of one checkpoint (Table 6's columns).
 struct CheckpointTiming {
@@ -42,26 +44,11 @@ struct CheckpointTiming {
   }
 };
 
-/// State carried between successive checkpoints under the SAME prefix to
-/// support incremental checkpointing: arrays whose content fingerprint is
-/// unchanged are not rewritten (the §6 memory-exclusion optimization at
-/// whole-array granularity). Owned by the caller (DrmsProgram); the
-/// engine reads it on every task and updates it on task 0 only, between
-/// barriers.
-struct IncrementalState {
-  /// Prefix the fingerprints belong to; a different prefix invalidates.
-  std::string prefix;
-  std::map<std::string, std::uint32_t> fingerprints;
-  /// Statistics of the most recent write().
-  int arrays_skipped = 0;
-  std::uint64_t bytes_skipped = 0;
-};
-
-/// Policy knobs for block-level delta generations. Off by default: every
-/// generation is a full dump and the on-volume formats are byte-identical
-/// to the pre-delta layout.
+/// Policy knobs for block-level delta generations (the §6 memory-exclusion
+/// optimization at block granularity). Passed to write() together with a
+/// DeltaChainState; without them every generation is a full dump and the
+/// on-volume formats are byte-identical to the pre-delta layout.
 struct DeltaOptions {
-  bool enabled = false;
   /// One full generation per `full_every_k` generations (<= 1: always
   /// full). A chain never grows past k - 1 deltas.
   int full_every_k = 4;
@@ -73,11 +60,11 @@ struct DeltaOptions {
   support::BlockCodec codec = support::BlockCodec::kLz;
 };
 
-/// Chain state carried between checkpoints (same ownership discipline as
-/// IncrementalState: owned by DrmsProgram, read on every task, mutated on
-/// task 0 only, between barriers). `chain` holds the committed prefixes
-/// of the live chain, full base first; empty until the first full
-/// generation commits.
+/// Chain state carried between checkpoints. Owned by the caller
+/// (DrmsProgram); write() copies what it needs on every task at its entry
+/// barrier and updates it on task 0 only, after the commit. `chain` holds
+/// the committed prefixes of the live chain, full base first; empty until
+/// the first full generation commits.
 struct DeltaChainState {
   std::vector<std::string> chain;
   /// Statistics of the most recent write().
@@ -113,24 +100,19 @@ class DrmsCheckpoint {
   /// COLLECTIVE: write a full checkpoint under `prefix`. `store` is the
   /// calling task's replicated store (task 0's copy is the one saved);
   /// `arrays` are the application's distributed arrays, all distributed.
-  /// With a non-null `incremental`, arrays whose fingerprint is unchanged
-  /// since the previous checkpoint under the same prefix keep their
-  /// existing file instead of being restreamed.
   ///
-  /// With non-null `delta` (enabled) AND `chain`, the engine writes a
-  /// DELTA generation — only the blocks dirtied since the chain's last
+  /// With non-null `delta` AND `chain`, the engine writes a DELTA
+  /// generation — only the blocks dirtied since the chain's last
   /// generation, run through the codec stage — whenever the live chain is
   /// non-empty, shorter than full_every_k generations, still committed,
   /// and does not contain `prefix` (overwriting a chain member would pull
   /// the base out from under its dependents); otherwise it writes a full
-  /// generation that starts a fresh chain. Delta mode ignores
-  /// `incremental` (chain replay subsumes whole-array skipping).
+  /// generation that starts a fresh chain.
   CheckpointTiming write(rt::TaskContext& ctx, const std::string& prefix,
                          const std::string& app_name, std::int64_t sop,
                          const ReplicatedStore& store,
                          std::span<DistArray* const> arrays,
                          const AppSegmentModel& segment_model,
-                         IncrementalState* incremental = nullptr,
                          const DeltaOptions* delta = nullptr,
                          DeltaChainState* chain = nullptr);
 
@@ -181,24 +163,25 @@ class DrmsCheckpoint {
   /// pass nullptrs to detach (the default, fully synchronous path).
   void attach_io_session(svc::IoScheduler* scheduler,
                          const svc::JobToken* job) {
-    io_ = scheduler;
-    io_job_ = job;
+    session_.attach(scheduler, job);
   }
 
  private:
+  struct GenerationPlan;
+
   [[nodiscard]] int effective_io_tasks(const rt::TaskContext& ctx) const;
-  [[nodiscard]] support::RetryPolicy retry_policy(const char* what) const;
-  [[nodiscard]] bool io_session_active() const {
-    return io_ != nullptr && io_job_ != nullptr && io_job_->valid();
-  }
-  /// Run `fn` (which carries its own retry_io wrapping) — synchronously
-  /// without a session, else as a queued FOREGROUND item sharded by
-  /// `file`. Async errors surface at the next io_barrier().
-  void submit_io(const std::string& file, std::uint64_t bytes,
-                 std::function<void()> fn);
-  /// Completion barrier over this engine's session job (no-op without a
-  /// session); rethrows the first queued error.
-  void io_barrier();
+  /// At write()'s entry barrier, on every task: full or delta, and for a
+  /// delta its base and each array's dirty blocks.
+  [[nodiscard]] GenerationPlan plan_generation(
+      const std::string& prefix, std::span<DistArray* const> arrays,
+      const DeltaOptions* options, const DeltaChainState* chain) const;
+  /// COLLECTIVE: stream one array's dirty blocks into its delta file;
+  /// task 0 then publishes the file's index and header. Fills the
+  /// array's size and block statistics in `am`.
+  void write_delta_array(rt::TaskContext& ctx, const ArrayStreamer& streamer,
+                         const std::string& prefix, const DistArray& array,
+                         const GenerationPlan& plan, std::size_t index,
+                         int writers, ArrayMeta& am);
 
   store::StorageBackend& storage_;
   sim::LoadContext load_;
@@ -206,8 +189,7 @@ class DrmsCheckpoint {
   std::uint64_t target_chunk_bytes_;
   bool jitter_;
   obs::Recorder* recorder_;
-  svc::IoScheduler* io_ = nullptr;
-  const svc::JobToken* io_job_ = nullptr;
+  CommitSession session_;
 };
 
 }  // namespace drms::core

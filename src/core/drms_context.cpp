@@ -31,11 +31,6 @@ RestartTiming DrmsProgram::last_restart_timing() const {
   return last_restart_;
 }
 
-IncrementalState DrmsProgram::incremental_state() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return incremental_state_;
-}
-
 DeltaChainState DrmsProgram::delta_chain_state() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return delta_chain_;
@@ -290,12 +285,11 @@ void DrmsContext::partial_restore_array(DrmsCheckpoint& engine,
 void DrmsContext::capture_retained(RetainedJobState& retain,
                                    const std::string& prefix,
                                    std::span<DistArray* const> arrays) {
-  // SPMD discipline matching IncrementalState/DeltaChainState: rank 0
-  // lays out the slot tables between barriers, then every task fills its
-  // OWN slot (slot-private, so no write overlaps), and `valid` flips true
-  // only after every slot landed. The copies are taken inside the same
-  // collective that wrote the generation, so they are bit-identical to
-  // the bytes on the volume.
+  // SPMD discipline: rank 0 lays out the slot tables between barriers,
+  // then every task fills its OWN slot (slot-private, so no write
+  // overlaps), and `valid` flips true only after every slot landed. The
+  // copies are taken inside the same collective that wrote the
+  // generation, so they are bit-identical to the bytes on the volume.
   ctx_.barrier();
   if (ctx_.rank() == 0) {
     retain.valid = false;
@@ -493,16 +487,13 @@ ReconfigResult DrmsContext::do_checkpoint(const std::string& prefix) {
     DrmsCheckpoint engine(*env.storage, make_load_context(), env.io_tasks,
                           env.target_chunk_bytes, env.jitter, env.recorder);
     DeltaOptions delta_opts;
-    delta_opts.enabled = env.delta;
     delta_opts.full_every_k = env.delta_full_every_k;
     delta_opts.block_bytes = env.delta_block_bytes;
     delta_opts.codec = env.delta_codec;
-    timing = engine.write(
-        ctx_, prefix, program_.app_name_, sop_counter_, store_, arrays,
-        program_.segment_model_,
-        env.incremental ? &program_.incremental_state_ : nullptr,
-        env.delta ? &delta_opts : nullptr,
-        env.delta ? &program_.delta_chain_ : nullptr);
+    timing = engine.write(ctx_, prefix, program_.app_name_, sop_counter_,
+                          store_, arrays, program_.segment_model_,
+                          env.delta ? &delta_opts : nullptr,
+                          env.delta ? &program_.delta_chain_ : nullptr);
     if (env.retain != nullptr) {
       capture_retained(*env.retain, prefix, arrays);
     }

@@ -84,15 +84,11 @@ struct DrmsEnv {
   /// Parallel-streaming width for DRMS array I/O (0 = every task).
   int io_tasks = 0;
   std::uint64_t target_chunk_bytes = support::kMiB;
-  /// Incremental checkpointing (DRMS mode): arrays with an unchanged
-  /// content fingerprint keep their file from the previous checkpoint
-  /// under the same prefix instead of being restreamed.
-  bool incremental = false;
   /// Block-level delta generations (DRMS mode): arrays get runtime dirty
   /// tracking, and checkpoints between periodic fulls store only the
   /// dirtied blocks (codec-compressed) chained to the latest full base.
-  /// Default off — all on-volume formats stay byte-identical. Ignores
-  /// `incremental` while on. See DeltaOptions for the knobs' semantics.
+  /// Default off — all on-volume formats stay byte-identical. See
+  /// DeltaOptions for the knobs' semantics.
   bool delta = false;
   int delta_full_every_k = 4;
   std::uint64_t delta_block_bytes = 256 * support::kKiB;
@@ -150,9 +146,6 @@ class DrmsProgram {
   /// task observed identical values thanks to barrier clock sync).
   [[nodiscard]] CheckpointTiming last_checkpoint_timing() const;
   [[nodiscard]] RestartTiming last_restart_timing() const;
-  /// Incremental-checkpoint statistics of the last write (when
-  /// env.incremental is on).
-  [[nodiscard]] IncrementalState incremental_state() const;
   /// Delta-chain state after the last write (when env.delta is on).
   [[nodiscard]] DeltaChainState delta_chain_state() const;
   /// Number of checkpoints written during the run.
@@ -176,11 +169,9 @@ class DrmsProgram {
   RestartTiming last_restart_;
   /// Meta of the checkpoint being restored (set during initialize()).
   std::optional<CheckpointMeta> restart_meta_;
-  /// Fingerprints between incremental checkpoints. The engine reads it on
-  /// every task concurrently and mutates it on task 0 between barriers,
+  /// Live delta chain between checkpoints. The engine copies it on every
+  /// task at its entry barrier and mutates it on task 0 after the commit,
   /// so no additional locking is required during a collective write.
-  IncrementalState incremental_state_;
-  /// Live delta chain between checkpoints (same ownership discipline).
   DeltaChainState delta_chain_;
 };
 

@@ -18,37 +18,11 @@ constexpr std::uint32_t kTaskSegVersion = wire::kSpmdSegmentVersion;
 SpmdCheckpoint::SpmdCheckpoint(store::StorageBackend& storage,
                                sim::LoadContext load, bool jitter,
                                obs::Recorder* recorder)
-    : storage_(storage), load_(load), jitter_(jitter), recorder_(recorder) {}
-
-support::RetryPolicy SpmdCheckpoint::retry_policy(const char* what) const {
-  support::RetryPolicy policy;
-  policy.observer = recorder_;
-  policy.what = what;
-  if (io_session_active()) {
-    policy.jitter_seed = io_job_->id();
-  }
-  return policy;
-}
-
-void SpmdCheckpoint::submit_io(const std::string& file, std::uint64_t bytes,
-                               std::function<void()> fn) {
-  if (!io_session_active()) {
-    fn();
-    return;
-  }
-  const double sim_seconds =
-      storage_.charges_time()
-          ? storage_.single_write_seconds(bytes, load_, nullptr)
-          : 0.0;
-  (void)io_->submit(*io_job_, svc::Priority::kForeground, file, bytes,
-                    sim_seconds, std::move(fn));
-}
-
-void SpmdCheckpoint::io_barrier() {
-  if (io_session_active()) {
-    io_->barrier(*io_job_);
-  }
-}
+    : storage_(storage),
+      load_(load),
+      jitter_(jitter),
+      recorder_(recorder),
+      session_(storage, load, recorder, "spmd") {}
 
 CheckpointTiming SpmdCheckpoint::write(rt::TaskContext& ctx,
                                        const std::string& prefix,
@@ -73,24 +47,9 @@ CheckpointTiming SpmdCheckpoint::write(rt::TaskContext& ctx,
   // the other tasks back until the old manifest is gone. The barrier is
   // timing-neutral: no simulated time is charged before it, so every
   // task's clock is still t0.
-  struct DrainOnUnwind {
-    SpmdCheckpoint* self;
-    ~DrainOnUnwind() {
-      try {
-        self->io_barrier();
-      } catch (...) {  // NOLINT(bugprone-empty-catch)
-      }
-    }
-  } drain_on_unwind{this};
-
+  const CommitSession::DrainGuard drain(session_);
   if (ctx.rank() == 0) {
-    obs::ScopedSpan decommit_span(recorder_, "spmd", "decommit", 0, t0);
-    submit_io(commit_file_name(prefix), 0, [this, &prefix] {
-      support::retry_io([&] { decommit_checkpoint(storage_, prefix); },
-                        retry_policy("decommit"));
-    });
-    io_barrier();  // the old manifest must be gone before anyone writes
-    decommit_span.end(ctx.sim_time());
+    session_.decommit(ctx, prefix);
   }
   ctx.barrier();
 
@@ -124,50 +83,41 @@ CheckpointTiming SpmdCheckpoint::write(rt::TaskContext& ctx,
   support::ByteBuffer head;
   head.put_u64(body.size());
   head.put_u32(crc);
-  submit_io(task_file_name, total_bytes,
-            [this, task_file_name, &head, &body, total_bytes, payload_end] {
-              store::FileHandle file = support::retry_io(
-                  [&] { return storage_.create(task_file_name); },
-                  retry_policy("segment.create"));
-              support::retry_io([&] { file.write_at(0, head.bytes()); },
-                                retry_policy("segment.write"));
-              support::retry_io(
-                  [&] { file.write_at(head.size(), body.bytes()); },
-                  retry_policy("segment.write"));
-              if (total_bytes > payload_end) {
-                support::retry_io(
-                    [&] {
-                      file.write_zeros_at(payload_end,
-                                          total_bytes - payload_end);
-                    },
-                    retry_policy("segment.write"));
-              }
-            });
+  session_.submit(
+      task_file_name, total_bytes,
+      [this, task_file_name, &head, &body, total_bytes, payload_end] {
+        store::FileHandle file = support::retry_io(
+            [&] { return storage_.create(task_file_name); },
+            session_.retry_policy("segment.create"));
+        support::retry_io([&] { file.write_at(0, head.bytes()); },
+                          session_.retry_policy("segment.write"));
+        support::retry_io([&] { file.write_at(head.size(), body.bytes()); },
+                          session_.retry_policy("segment.write"));
+        if (total_bytes > payload_end) {
+          support::retry_io(
+              [&] {
+                file.write_zeros_at(payload_end, total_bytes - payload_end);
+              },
+              session_.retry_policy("segment.write"));
+        }
+      });
   // Explicit completion barrier: the publication below reads every task
   // file's size, so each rank drains the job before the collective
   // barrier — once all ranks pass it, every queued segment is durable.
-  io_barrier();
+  session_.barrier();
   segment_span.end(ctx.sim_time());
 
   // Every task file must be durable before task 0 publishes the state;
   // timing-neutral (no charges since the previous barrier).
   ctx.barrier();
 
-  // Publication: meta record, then the commit manifest as the LAST write.
-  // Built on every task so the modeled commit overhead is identical
-  // everywhere; written by task 0.
   CheckpointMeta meta;
   meta.app_name = app_name;
   meta.task_count = ctx.size();
   meta.sop = sop;
   meta.segment_bytes = total_bytes;
-  const support::ByteBuffer meta_buf = encode_checkpoint_meta(meta);
   CommitManifest manifest;
   manifest.spmd = true;
-  manifest.entries.push_back(CommitEntry{spmd_meta_file_name(prefix),
-                                         meta_buf.size(),
-                                         support::crc32c(meta_buf.bytes()),
-                                         true});
   for (int r = 0; r < ctx.size(); ++r) {
     // Actual on-volume size: a task whose payload exceeds the static
     // segment model writes a larger file than total_bytes says.
@@ -175,47 +125,8 @@ CheckpointTiming SpmdCheckpoint::write(rt::TaskContext& ctx,
     manifest.entries.push_back(
         CommitEntry{task_file, storage_.file_size(task_file), 0, false});
   }
-  const support::ByteBuffer manifest_buf = encode_commit_manifest(manifest);
-
-  if (ctx.rank() == 0) {
-    {
-      obs::ScopedSpan meta_span(recorder_, "spmd", "meta", 0,
-                                ctx.sim_time());
-      submit_io(spmd_meta_file_name(prefix), meta_buf.size(),
-                [this, &prefix, &meta_buf] {
-                  support::retry_io(
-                      [&] {
-                        storage_.create(spmd_meta_file_name(prefix))
-                            .write_at(0, meta_buf.bytes());
-                      },
-                      retry_policy("meta.write"));
-                });
-      meta_span.end(ctx.sim_time());
-    }
-    obs::ScopedSpan commit_span(recorder_, "spmd", "commit", 0,
-                                ctx.sim_time());
-    // Manifest-last: every queued write (meta included) completes before
-    // the commit manifest is even submitted.
-    io_barrier();
-    submit_io(commit_file_name(prefix), manifest_buf.size(),
-              [this, &prefix, &manifest_buf] {
-                support::retry_io(
-                    [&] {
-                      storage_.create(commit_file_name(prefix))
-                          .write_at(0, manifest_buf.bytes());
-                    },
-                    retry_policy("commit.write"));
-              });
-    io_barrier();
-    commit_span.end(ctx.sim_time());
-  }
-  // Modeled (not charged) publication cost; see CheckpointTiming — kept
-  // out of the phase clocks and drawn without jitter so the paper tables
-  // are unchanged by the commit protocol.
-  if (storage_.charges_time()) {
-    timing.commit_seconds = storage_.single_write_seconds(
-        meta_buf.size() + manifest_buf.size(), load_, nullptr);
-  }
+  timing.commit_seconds = session_.publish(
+      ctx, prefix, spmd_meta_file_name(prefix), meta, std::move(manifest));
 
   if (storage_.charges_time()) {
     ctx.charge(storage_.concurrent_write_seconds(

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "core/checkpoint_format.hpp"
+#include "core/commit_session.hpp"
 #include "core/dist_array.hpp"
 #include "core/drms_checkpoint.hpp"  // CheckpointTiming / RestartTiming
 #include "core/replicated_store.hpp"
@@ -69,25 +70,15 @@ class SpmdCheckpoint {
   /// manifest-last ordering (the manifest reads every task file's size).
   void attach_io_session(svc::IoScheduler* scheduler,
                          const svc::JobToken* job) {
-    io_ = scheduler;
-    io_job_ = job;
+    session_.attach(scheduler, job);
   }
 
  private:
-  [[nodiscard]] support::RetryPolicy retry_policy(const char* what) const;
-  [[nodiscard]] bool io_session_active() const {
-    return io_ != nullptr && io_job_ != nullptr && io_job_->valid();
-  }
-  void submit_io(const std::string& file, std::uint64_t bytes,
-                 std::function<void()> fn);
-  void io_barrier();
-
   store::StorageBackend& storage_;
   sim::LoadContext load_;
   bool jitter_;
   obs::Recorder* recorder_;
-  svc::IoScheduler* io_ = nullptr;
-  const svc::JobToken* io_job_ = nullptr;
+  CommitSession session_;
 };
 
 }  // namespace drms::core

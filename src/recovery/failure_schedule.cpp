@@ -108,10 +108,12 @@ std::string FailureSchedule::describe() const {
     }
     out += to_string(e.kind);
     if (e.kind == FailureKind::kNodeLoss) {
-      out += "#" + std::to_string(e.node_ordinal);
+      out += '#';
+      out += std::to_string(e.node_ordinal);
     }
     if (e.kind == FailureKind::kTransientFaults) {
-      out += "x" + std::to_string(e.transient_count);
+      out += 'x';
+      out += std::to_string(e.transient_count);
     }
     out += "@L" + std::to_string(e.launch) + "/i" +
            std::to_string(e.at_iteration);

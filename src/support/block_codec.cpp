@@ -105,11 +105,18 @@ std::uint32_t lz_hash(const std::byte* p) noexcept {
 
 void lz_encode(std::span<const std::byte> raw, ByteBuffer& out) {
   std::vector<std::size_t> head(std::size_t{1} << kLzHashBits, SIZE_MAX);
+  // Tokens are written through a pointer into a reserved tail sized for
+  // the worst case (all literals: one control byte per 8 of them), so the
+  // loop stores only output bytes, never `out` itself — a buffer object
+  // that may sit in another thread's stack frame.
+  const std::size_t mark = out.size();
+  std::byte* const begin =
+      out.append_uninitialized(raw.size() + raw.size() / 8 + 1).data();
+  std::byte* dst = begin;
   std::size_t i = 0;
   while (i < raw.size()) {
     // Open a control byte; patch it after its 8 tokens are emitted.
-    const std::size_t control_at = out.size();
-    out.put_u8(0);
+    std::byte* const control_at = dst++;
     std::uint8_t control = 0;
     for (int bit = 0; bit < 8 && i < raw.size(); ++bit) {
       std::size_t match_len = 0;
@@ -132,10 +139,10 @@ void lz_encode(std::span<const std::byte> raw, ByteBuffer& out) {
       }
       if (match_len > 0) {
         control |= static_cast<std::uint8_t>(1u << bit);
-        const std::uint16_t dist = static_cast<std::uint16_t>(i - match_pos);
-        out.put_u8(static_cast<std::uint8_t>(dist & 0xff));
-        out.put_u8(static_cast<std::uint8_t>(dist >> 8));
-        out.put_u8(static_cast<std::uint8_t>(match_len - kLzMinMatch));
+        const std::size_t dist = i - match_pos;
+        *dst++ = static_cast<std::byte>(dist & 0xff);
+        *dst++ = static_cast<std::byte>(dist >> 8);
+        *dst++ = static_cast<std::byte>(match_len - kLzMinMatch);
         // Seed the hash head across the matched span so later matches can
         // reference into it (skip the last 3 bytes: no full 4-byte key).
         const std::size_t seed_end =
@@ -146,12 +153,13 @@ void lz_encode(std::span<const std::byte> raw, ByteBuffer& out) {
         }
         i += match_len;
       } else {
-        out.put_u8(static_cast<std::uint8_t>(raw[i]));
+        *dst++ = raw[i];
         ++i;
       }
     }
-    out.writable_bytes()[control_at] = std::byte{control};
+    *control_at = std::byte{control};
   }
+  out.resize_uninitialized(mark + static_cast<std::size_t>(dst - begin));
 }
 
 void lz_decode(std::span<const std::byte> stored, std::uint64_t raw_bytes,

@@ -68,9 +68,6 @@ class ByteBuffer {
   [[nodiscard]] std::span<const std::byte> bytes() const noexcept {
     return {data_.data(), data_.size()};
   }
-  [[nodiscard]] std::span<std::byte> writable_bytes() noexcept {
-    return {data_.data(), data_.size()};
-  }
 
   void clear() noexcept {
     data_.clear();

@@ -595,7 +595,11 @@ TEST(TieredBackend, ConcurrentDrainVersusRestoreIsNeverTorn) {
   const auto payload = [](int file, int version) {
     return std::string(kSize, static_cast<char>('A' + file + 3 * version));
   };
-  const auto name = [](int file) { return "f" + std::to_string(file); };
+  const auto name = [](int file) {
+    std::string n = "f";
+    n += std::to_string(file);
+    return n;
+  };
   for (int i = 0; i < kFiles; ++i) {
     storage.create(name(i)).write_at(0, bytes_of(payload(i, 0)));
   }

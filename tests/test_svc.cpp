@@ -344,8 +344,9 @@ TEST(Svc, DestructorRunsEveryPendingItem) {
     IoScheduler scheduler(opts);
     job = scheduler.register_job("tenant");
     for (int i = 0; i < 5; ++i) {
-      scheduler.submit(job, Priority::kDrain, "k" + std::to_string(i), 0, 0.0,
-                       [&ran] { ++ran; });
+      std::string key = "k";
+      key += std::to_string(i);
+      scheduler.submit(job, Priority::kDrain, key, 0, 0.0, [&ran] { ++ran; });
     }
     // No resume(): teardown itself must drain the backlog (durability
     // over priority at shutdown), then join the workers.

@@ -316,10 +316,14 @@ int cmd_restart_plan(const std::string& dir, const std::string& prefix,
       for (std::size_t i = 0; i < runs.size(); ++i) {
         bytes += runs[i].bytes;
         if (i < 3) {
-          ranges += (i > 0 ? " " : "") + std::string("[") +
-                    std::to_string(runs[i].byte_offset) + "," +
-                    std::to_string(runs[i].byte_offset + runs[i].bytes) +
-                    ")";
+          if (i > 0) {
+            ranges += ' ';
+          }
+          ranges += '[';
+          ranges += std::to_string(runs[i].byte_offset);
+          ranges += ',';
+          ranges += std::to_string(runs[i].byte_offset + runs[i].bytes);
+          ranges += ')';
         } else if (i == 3) {
           ranges += " ...";
         }
