@@ -4,7 +4,8 @@
 //
 //   crc          CRC-32C kernels (bytewise / slicing-by-16 / hardware)
 //                over a 64 MiB buffer, plus the runtime-dispatched one
-//   gather       LocalArray::extract into a stream-ordered buffer
+//   gather       LocalArray::extract into a stream-ordered buffer (the
+//                whole block, and one stream chunk of a shadowed SP local)
 //   scatter      LocalArray::insert back from the stream
 //   exchange     one exchange_sections round across an 8-task group
 //   checkpoint   full DrmsCheckpoint write / restore against the memory
@@ -149,6 +150,7 @@ struct PlainResult {
 };
 
 /// extract/insert over the paper shape: one task's 64^3 double block.
+/// The sub-slice is the whole local, so each call is one run.
 std::vector<PlainResult> bench_gather_scatter(int reps) {
   const core::Slice box = core::Slice::box(
       std::vector<core::Index>{0, 0, 0}, std::vector<core::Index>{63, 63, 63});
@@ -176,6 +178,35 @@ std::vector<PlainResult> bench_gather_scatter(int reps) {
     out.push_back(r);
   }
   return out;
+}
+
+/// extract of the first 1 MiB stream chunk from task 0's local of an
+/// SP-shaped array: 5 components of 64^3 doubles, block-split over 2
+/// tasks along x with SP's 1-cell shadow. The chunk piece spans x of the
+/// assigned section only, one cell short of the mapped one, so runs stop
+/// at (component, x) rows of 1280 bytes: the partial-axis path, where a
+/// whole-box extract is a single run.
+PlainResult bench_gather_sp_chunk(int reps) {
+  const core::Slice box = core::Slice::box(
+      std::vector<core::Index>{0, 0, 0, 0},
+      std::vector<core::Index>{4, 63, 63, 63});
+  const core::DistSpec dist = core::DistSpec::block(
+      box, std::vector<int>{1, 2, 1, 1}, std::vector<core::Index>{0, 1, 1, 1});
+  core::LocalArray local(dist.mapped(0), sizeof(double));
+  fill_pattern(local.bytes());
+  const core::StreamPlan plan =
+      core::make_stream_plan(box, sizeof(double), 2, support::kMiB);
+  const core::Slice piece = plan.chunks.front().intersect(dist.assigned(0));
+  std::vector<std::byte> stream(
+      static_cast<std::size_t>(piece.element_count()) * sizeof(double));
+
+  PlainResult r;
+  r.name = "gather SP stream chunk (2 tasks)";
+  r.bytes_per_call = stream.size();
+  const double per_call =
+      time_per_call(reps, [&] { local.extract(piece, stream); });
+  r.gb_per_s = gbps(r.bytes_per_call, per_call);
+  return r;
 }
 
 /// One parallel-write exchange round on an 8-task group: block-distributed
@@ -433,6 +464,7 @@ int main(int argc, char** argv) {
 
   const std::vector<CrcResult> crc = bench_crc(crc_buffer_bytes, crc_reps);
   std::vector<PlainResult> rest = bench_gather_scatter(data_reps);
+  rest.push_back(bench_gather_sp_chunk(data_reps));
   rest.push_back(bench_exchange(data_reps));
   for (auto& r : bench_checkpoint(quick ? 4 : 16)) {
     rest.push_back(r);

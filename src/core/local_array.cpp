@@ -40,34 +40,12 @@ std::optional<std::uint64_t> LocalArray::offset_of(
   return static_cast<std::uint64_t>(off) * elem_size_;
 }
 
-std::vector<std::vector<Index>> LocalArray::position_tables(
-    const Slice& s) const {
-  DRMS_EXPECTS_MSG(s.rank() == mapped_.rank(),
-                   "sub-slice rank must match the mapped section");
-  std::vector<std::vector<Index>> tables(
-      static_cast<std::size_t>(s.rank()));
-  for (int k = 0; k < s.rank(); ++k) {
-    const Range& sub = s.range(k);
-    const Range& map = mapped_.range(k);
-    auto& table = tables[static_cast<std::size_t>(k)];
-    const Index n = sub.size();
-    table.reserve(static_cast<std::size_t>(n));
-    for (Index i = 0; i < n; ++i) {
-      const auto pos = map.position_of(sub.at(i));
-      DRMS_EXPECTS_MSG(pos.has_value(),
-                       "sub-slice not covered by the mapped section");
-      table.push_back(*pos);
-    }
-  }
-  return tables;
-}
-
 namespace {
 
-/// True when the positions form the run p, p+1, ..., p+n-1.
-bool is_consecutive(const std::vector<Index>& positions) {
-  for (std::size_t i = 1; i < positions.size(); ++i) {
-    if (positions[i] != positions[i - 1] + 1) {
+/// True when each offset is exactly `step` bytes past the previous one.
+bool advances_by(const std::vector<std::size_t>& offsets, std::size_t step) {
+  for (std::size_t i = 1; i < offsets.size(); ++i) {
+    if (offsets[i] != offsets[i - 1] + step) {
       return false;
     }
   }
@@ -76,60 +54,79 @@ bool is_consecutive(const std::vector<Index>& positions) {
 
 }  // namespace
 
+template <typename Copy>
+void LocalArray::for_each_run(const Slice& s, Copy&& copy) const {
+  DRMS_EXPECTS_MSG(s.rank() == mapped_.rank(),
+                   "sub-slice rank must match the mapped section");
+  const auto d = static_cast<std::size_t>(s.rank());
+  // Per axis, the byte offset in data_ of each value of s.range(axis).
+  std::vector<std::vector<std::size_t>> offsets(d);
+  for (std::size_t k = 0; k < d; ++k) {
+    const Range& sub = s.range(static_cast<int>(k));
+    const Range& map = mapped_.range(static_cast<int>(k));
+    const auto step = static_cast<std::size_t>(stride_[k]) * elem_size_;
+    auto& table = offsets[k];
+    table.reserve(static_cast<std::size_t>(sub.size()));
+    for (Index i = 0; i < sub.size(); ++i) {
+      const auto pos = map.position_of(sub.at(i));
+      DRMS_EXPECTS_MSG(pos.has_value(),
+                       "sub-slice not covered by the mapped section");
+      table.push_back(static_cast<std::size_t>(*pos) * step);
+    }
+  }
+
+  // Fold leading axes into one run: axis k joins while each of its values
+  // starts exactly one run past the previous one. The run so far is one
+  // step of axis k only when every axis before it spans its full mapped
+  // extent, so the test also stops the fold after the first partial axis
+  // (an axis with a single value still joins).
+  std::size_t run = elem_size_;
+  std::size_t base = 0;
+  std::size_t merged = 0;
+  while (merged < d && advances_by(offsets[merged], run)) {
+    base += offsets[merged].front();
+    run *= offsets[merged].size();
+    ++merged;
+  }
+  if (merged == d) {
+    copy(base, run);
+    return;
+  }
+  // One run per value of the first unmerged axis (a tight loop), with an
+  // odometer over the axes above it.
+  const auto& inner = offsets[merged];
+  std::vector<std::size_t> pos(d, 0);
+  for (;;) {
+    std::size_t start = base;
+    for (std::size_t k = merged + 1; k < d; ++k) {
+      start += offsets[k][pos[k]];
+    }
+    for (const std::size_t off : inner) {
+      copy(start + off, run);
+    }
+    std::size_t axis = merged + 1;
+    while (axis < d && ++pos[axis] == offsets[axis].size()) {
+      pos[axis] = 0;
+      ++axis;
+    }
+    if (axis == d) {
+      return;
+    }
+  }
+}
+
 void LocalArray::extract(const Slice& s, std::span<std::byte> out) const {
   if (s.empty()) {
     return;
   }
-  const auto tables = position_tables(s);
   const std::uint64_t needed =
       static_cast<std::uint64_t>(s.element_count()) * elem_size_;
   DRMS_EXPECTS_MSG(out.size() >= needed, "extract output buffer too small");
-
-  const int d = s.rank();
-  const auto& t0 = tables[0];
-  const bool run0 = is_consecutive(t0);
-  const std::size_t run_bytes = t0.size() * elem_size_;
-
-  std::vector<Index> pos(static_cast<std::size_t>(d), 0);
   std::size_t cursor = 0;
-  for (;;) {
-    Index base = 0;
-    for (int k = 1; k < d; ++k) {
-      base += tables[static_cast<std::size_t>(k)]
-                    [static_cast<std::size_t>(
-                        pos[static_cast<std::size_t>(k)])] *
-              stride_[static_cast<std::size_t>(k)];
-    }
-    if (run0) {
-      std::memcpy(out.data() + cursor,
-                  data_.data() + static_cast<std::size_t>(base + t0[0]) *
-                                     elem_size_,
-                  run_bytes);
-      cursor += run_bytes;
-    } else {
-      for (const Index p0 : t0) {
-        std::memcpy(out.data() + cursor,
-                    data_.data() +
-                        static_cast<std::size_t>(base + p0) * elem_size_,
-                    elem_size_);
-        cursor += elem_size_;
-      }
-    }
-    // Odometer over axes 1..d-1.
-    int axis = 1;
-    while (axis < d) {
-      auto& p = pos[static_cast<std::size_t>(axis)];
-      if (++p < static_cast<Index>(tables[static_cast<std::size_t>(axis)]
-                                       .size())) {
-        break;
-      }
-      p = 0;
-      ++axis;
-    }
-    if (axis == d) {
-      break;
-    }
-  }
+  for_each_run(s, [&](std::size_t off, std::size_t n) {
+    std::memcpy(out.data() + cursor, data_.data() + off, n);
+    cursor += n;
+  });
   DRMS_ENSURES(cursor == needed);
 }
 
@@ -140,53 +137,14 @@ void LocalArray::insert(const Slice& s, std::span<const std::byte> in) {
   if (log_ != nullptr) {
     log_->mark(s);
   }
-  const auto tables = position_tables(s);
   const std::uint64_t needed =
       static_cast<std::uint64_t>(s.element_count()) * elem_size_;
   DRMS_EXPECTS_MSG(in.size() >= needed, "insert input buffer too small");
-
-  const int d = s.rank();
-  const auto& t0 = tables[0];
-  const bool run0 = is_consecutive(t0);
-  const std::size_t run_bytes = t0.size() * elem_size_;
-
-  std::vector<Index> pos(static_cast<std::size_t>(d), 0);
   std::size_t cursor = 0;
-  for (;;) {
-    Index base = 0;
-    for (int k = 1; k < d; ++k) {
-      base += tables[static_cast<std::size_t>(k)]
-                    [static_cast<std::size_t>(
-                        pos[static_cast<std::size_t>(k)])] *
-              stride_[static_cast<std::size_t>(k)];
-    }
-    if (run0) {
-      std::memcpy(data_.data() + static_cast<std::size_t>(base + t0[0]) *
-                                     elem_size_,
-                  in.data() + cursor, run_bytes);
-      cursor += run_bytes;
-    } else {
-      for (const Index p0 : t0) {
-        std::memcpy(data_.data() +
-                        static_cast<std::size_t>(base + p0) * elem_size_,
-                    in.data() + cursor, elem_size_);
-        cursor += elem_size_;
-      }
-    }
-    int axis = 1;
-    while (axis < d) {
-      auto& p = pos[static_cast<std::size_t>(axis)];
-      if (++p < static_cast<Index>(tables[static_cast<std::size_t>(axis)]
-                                       .size())) {
-        break;
-      }
-      p = 0;
-      ++axis;
-    }
-    if (axis == d) {
-      break;
-    }
-  }
+  for_each_run(s, [&](std::size_t off, std::size_t n) {
+    std::memcpy(data_.data() + off, in.data() + cursor, n);
+    cursor += n;
+  });
   DRMS_ENSURES(cursor == needed);
 }
 

@@ -119,10 +119,12 @@ class LocalArray {
   [[nodiscard]] std::span<const double> as_f64() const;
 
  private:
-  /// Per-axis local positions of the values of `s.range(axis)` inside
-  /// mapped().range(axis); throws if any value is absent.
-  [[nodiscard]] std::vector<std::vector<Index>> position_tables(
-      const Slice& s) const;
+  /// Calls copy(offset, bytes) for each contiguous run of data_ that holds
+  /// sub-slice `s`, in stream order; throws if `s` is not covered by
+  /// mapped(). Leading axes that span their full mapped extent merge with
+  /// the next consecutive axis into one run.
+  template <typename Copy>
+  void for_each_run(const Slice& s, Copy&& copy) const;
 
   Slice mapped_;
   std::size_t elem_size_ = 0;

@@ -44,6 +44,51 @@ constexpr std::array<std::array<std::uint32_t, 256>, 16> make_tables() {
 
 constexpr auto kTables = make_tables();
 
+/// a * b mod P over GF(2), both in reflected order (x^0 is the top bit).
+/// `a` must be nonzero.
+constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) noexcept {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31;; m >>= 1) {
+    if ((a & m) != 0) {
+      product ^= b;
+      if ((a & (m - 1)) == 0) {
+        return product;
+      }
+    }
+    b = (b & 1u) ? (b >> 1) ^ kPoly : b >> 1;
+  }
+}
+
+/// kX2n[k] = x^(2^k) mod P for every k a 64-bit byte count can reach
+/// (bit 63 of a byte length is 2^66 bits). The powers do not repeat with
+/// period 32: CRC-32C's P is (x + 1) times a primitive degree-31
+/// polynomial, so x^(2^k) has period 31 in k, and zlib's `k & 31` wrap
+/// would be wrong from 2^29 bytes on.
+constexpr std::array<std::uint32_t, 67> make_x2n_table() {
+  std::array<std::uint32_t, 67> table{};
+  std::uint32_t p = 1u << 30;  // x^1
+  table[0] = p;
+  for (std::size_t k = 1; k < table.size(); ++k) {
+    p = multmodp(p, p);
+    table[k] = p;
+  }
+  return table;
+}
+
+constexpr auto kX2n = make_x2n_table();
+
+/// x^(8 * bytes) mod P: the operator that appends `bytes` zero bytes to a
+/// raw CRC state.
+constexpr std::uint32_t zeros_operator(std::uint64_t bytes) noexcept {
+  std::uint32_t p = 1u << 31;  // x^0
+  for (std::size_t k = 3; bytes != 0; bytes >>= 1, ++k) {
+    if ((bytes & 1u) != 0) {
+      p = multmodp(kX2n[k], p);
+    }
+  }
+  return p;
+}
+
 /// All kernels transform the RAW (inverted) running state; the ~ at entry
 /// and exit lives in the callers.
 std::uint32_t update_bytewise(std::uint32_t crc, const void* p,
@@ -85,6 +130,12 @@ std::uint32_t update_slicing16(std::uint32_t crc, const void* ptr,
 
 #if defined(__x86_64__)
 
+/// The three-lane kernel's lane: long enough that the two shifts per
+/// block are noise, short enough that a 1 MiB chunk runs ~85 blocks.
+constexpr std::size_t kLaneBytes = 4096;
+constexpr std::uint32_t kShiftOneLane = zeros_operator(kLaneBytes);
+constexpr std::uint32_t kShiftTwoLanes = zeros_operator(2 * kLaneBytes);
+
 __attribute__((target("sse4.2"))) std::uint32_t update_hardware(
     std::uint32_t crc, const void* ptr, std::size_t n) noexcept {
   const auto* p = static_cast<const unsigned char*>(ptr);
@@ -93,11 +144,33 @@ __attribute__((target("sse4.2"))) std::uint32_t update_hardware(
     crc = _mm_crc32_u8(crc, *p++);
     --n;
   }
+  const auto load = [](const unsigned char* q) {
+    std::uint64_t v;
+    std::memcpy(&v, q, sizeof v);
+    return v;
+  };
+  // crc32q has a latency of three cycles and a throughput of one, so
+  // three independent chains over adjacent lanes keep the unit busy. The
+  // lanes merge by linearity: crc(s, A || B || C) = crc(s, A) * x^(8|BC|)
+  // ^ crc(0, B) * x^(8|C|) ^ crc(0, C).
+  while (n >= 3 * kLaneBytes) {
+    std::uint64_t c0 = crc;
+    std::uint64_t c1 = 0;
+    std::uint64_t c2 = 0;
+    for (std::size_t i = 0; i < kLaneBytes; i += 8) {
+      c0 = _mm_crc32_u64(c0, load(p + i));
+      c1 = _mm_crc32_u64(c1, load(p + kLaneBytes + i));
+      c2 = _mm_crc32_u64(c2, load(p + 2 * kLaneBytes + i));
+    }
+    crc = multmodp(kShiftTwoLanes, static_cast<std::uint32_t>(c0)) ^
+          multmodp(kShiftOneLane, static_cast<std::uint32_t>(c1)) ^
+          static_cast<std::uint32_t>(c2);
+    p += 3 * kLaneBytes;
+    n -= 3 * kLaneBytes;
+  }
   std::uint64_t crc64 = crc;
   while (n >= 8) {
-    std::uint64_t v;
-    std::memcpy(&v, p, sizeof v);
-    crc64 = _mm_crc32_u64(crc64, v);
+    crc64 = _mm_crc32_u64(crc64, load(p));
     p += 8;
     n -= 8;
   }
@@ -228,65 +301,12 @@ std::uint32_t crc32c(Crc32cKernel kernel,
   return ~kernel_fn(kernel)(~0u, bytes.data(), bytes.size());
 }
 
-namespace {
-
-std::uint32_t gf2_matrix_times(const std::uint32_t* mat,
-                               std::uint32_t vec) noexcept {
-  std::uint32_t sum = 0;
-  while (vec != 0) {
-    if (vec & 1u) {
-      sum ^= *mat;
-    }
-    vec >>= 1;
-    ++mat;
-  }
-  return sum;
-}
-
-void gf2_matrix_square(std::uint32_t* square,
-                       const std::uint32_t* mat) noexcept {
-  for (int n = 0; n < 32; ++n) {
-    square[n] = gf2_matrix_times(mat, mat[n]);
-  }
-}
-
-}  // namespace
-
 std::uint32_t crc32c_combine(std::uint32_t crc1, std::uint32_t crc2,
                              std::uint64_t len2) noexcept {
   if (len2 == 0) {
     return crc1;
   }
-  std::uint32_t even[32];  // even-power-of-two zero operators
-  std::uint32_t odd[32];   // odd-power-of-two zero operators
-
-  // Operator for one zero bit.
-  odd[0] = kPoly;
-  std::uint32_t row = 1;
-  for (int n = 1; n < 32; ++n) {
-    odd[n] = row;
-    row <<= 1;
-  }
-  gf2_matrix_square(even, odd);  // two zero bits
-  gf2_matrix_square(odd, even);  // four zero bits
-
-  // Apply len2 zero BYTES to crc1.
-  do {
-    gf2_matrix_square(even, odd);
-    if (len2 & 1u) {
-      crc1 = gf2_matrix_times(even, crc1);
-    }
-    len2 >>= 1;
-    if (len2 == 0) {
-      break;
-    }
-    gf2_matrix_square(odd, even);
-    if (len2 & 1u) {
-      crc1 = gf2_matrix_times(odd, crc1);
-    }
-    len2 >>= 1;
-  } while (len2 != 0);
-  return crc1 ^ crc2;
+  return multmodp(zeros_operator(len2), crc1) ^ crc2;
 }
 
 }  // namespace drms::support

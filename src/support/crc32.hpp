@@ -7,8 +7,9 @@
 //               reference all other kernels are tested against.
 //   kSlicing16  slicing-by-16: sixteen tables, 16 bytes per iteration —
 //               the portable fast path.
-//   kHardware   SSE4.2 (x86-64) / ARMv8 CRC instructions — the
-//               memory-bandwidth path where the CPU provides it.
+//   kHardware   SSE4.2 (x86-64, three interleaved crc32q lanes) / ARMv8
+//               CRC instructions — the memory-bandwidth path where the
+//               CPU provides it.
 // Dispatch is resolved once at runtime (CPUID / hwcaps); every kernel
 // produces bit-identical values, so checkpoint files and stream CRCs do
 // not depend on the host the writer ran on.
@@ -57,8 +58,9 @@ class Crc32c {
                                    std::span<const std::byte> bytes) noexcept;
 
 /// CRC combination: given crc1 = crc32c(A) and crc2 = crc32c(B), returns
-/// crc32c(A || B) where B is `len2` bytes long (zlib's GF(2) matrix
-/// technique). Lets parallel writers checksum their chunks independently
+/// crc32c(A || B) where B is `len2` bytes long: crc1 times x^(8 len2)
+/// mod P, from a table of x^(2^k) mod P — O(log len2) carry-less
+/// multiplies. Lets parallel writers checksum their chunks independently
 /// and still produce the exact CRC of the whole stream, independent of
 /// the chunking.
 [[nodiscard]] std::uint32_t crc32c_combine(std::uint32_t crc1,

@@ -1,9 +1,12 @@
 // Tests for LocalArray: column-major layout, offset computation,
-// extract/insert round trips over contiguous and irregular sub-slices.
+// extract/insert round trips over contiguous and irregular sub-slices,
+// and a seeded sweep of the run walker against a per-element reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <utility>
 
 #include "core/local_array.hpp"
 #include "support/error.hpp"
@@ -184,5 +187,140 @@ TEST_P(LocalArrayProperty, ExtractInsertAcrossMappings) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LocalArrayProperty, ::testing::Range(1, 6));
+
+/// One axis of a run-walker case, as global index values: the source's
+/// mapped range, the sub-slice inside it, and the destination's mapped
+/// range (which also covers the sub-slice).
+struct AxisCase {
+  std::vector<Index> src_mapped;
+  std::vector<Index> sub;
+  std::vector<Index> dst_mapped;
+};
+
+AxisCase random_axis(drms::support::Rng& rng) {
+  AxisCase axis;
+  // Source mapped values: contiguous, strided or an irregular list.
+  const Index n = rng.uniform_int(1, 6);
+  const Index lo = rng.uniform_int(-3, 3);
+  const Index stride = rng.uniform_int(2, 3);
+  const auto kind = rng.uniform_int(0, 2);
+  for (Index i = 0, v = lo; i < n; ++i) {
+    if (kind == 0) {
+      v = lo + i;
+    } else if (kind == 1) {
+      v = lo + i * stride;
+    } else {
+      v += rng.uniform_int(1, 3);
+    }
+    axis.src_mapped.push_back(v);
+  }
+  // Sub-slice positions: the full axis, a window (as inside shadow
+  // margins), a strided pick or an arbitrary subset.
+  std::vector<Index> positions;
+  switch (rng.uniform_int(0, 3)) {
+    case 0:
+      for (Index i = 0; i < n; ++i) positions.push_back(i);
+      break;
+    case 1: {
+      const Index a = rng.uniform_int(0, n - 1);
+      const Index b = rng.uniform_int(a, n - 1);
+      for (Index i = a; i <= b; ++i) positions.push_back(i);
+      break;
+    }
+    case 2: {
+      const Index step = rng.uniform_int(2, 3);
+      for (Index i = rng.uniform_int(0, n - 1); i < n; i += step) {
+        positions.push_back(i);
+      }
+      break;
+    }
+    default:
+      for (Index i = 0; i < n; ++i) {
+        if (rng.uniform_int(0, 1) == 1) positions.push_back(i);
+      }
+      if (positions.empty()) positions.push_back(rng.uniform_int(0, n - 1));
+      break;
+  }
+  for (const Index i : positions) {
+    axis.sub.push_back(axis.src_mapped[static_cast<std::size_t>(i)]);
+  }
+  // Destination mapped values: exactly the sub-slice, the source's
+  // mapped range, or that range with one more value at each end.
+  switch (rng.uniform_int(0, 2)) {
+    case 0:
+      axis.dst_mapped = axis.sub;
+      break;
+    case 1:
+      axis.dst_mapped = axis.src_mapped;
+      break;
+    default:
+      axis.dst_mapped.push_back(axis.src_mapped.front() - 1);
+      axis.dst_mapped.insert(axis.dst_mapped.end(), axis.src_mapped.begin(),
+                             axis.src_mapped.end());
+      axis.dst_mapped.push_back(axis.src_mapped.back() + 1);
+      break;
+  }
+  return axis;
+}
+
+/// Seeded sweep of the run walker behind extract/insert: ranks 1-4,
+/// element sizes 1, 8 and 24, axes that span their mapped extent and axes
+/// that do not, strided and index-list ranges anywhere. Both directions
+/// are checked byte for byte against a per-element reference built from
+/// offset_of.
+class LocalArrayRunWalker : public ::testing::TestWithParam<int> {};
+
+TEST_P(LocalArrayRunWalker, MatchesPerElementReference) {
+  drms::support::Rng rng(static_cast<std::uint64_t>(GetParam()) * 0x9E37);
+  constexpr std::array<std::size_t, 3> kElemSizes{1, 8, 24};
+  constexpr std::byte kSentinel{0xA5};
+  for (int iter = 0; iter < 100; ++iter) {
+    const auto rank = rng.uniform_int(1, 4);
+    const std::size_t elem =
+        kElemSizes[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+    std::vector<Range> src_ranges;
+    std::vector<Range> sub_ranges;
+    std::vector<Range> dst_ranges;
+    for (Index k = 0; k < rank; ++k) {
+      AxisCase axis = random_axis(rng);
+      src_ranges.push_back(Range::of_indices(std::move(axis.src_mapped)));
+      sub_ranges.push_back(Range::of_indices(std::move(axis.sub)));
+      dst_ranges.push_back(Range::of_indices(std::move(axis.dst_mapped)));
+    }
+    const Slice sub(std::move(sub_ranges));
+    LocalArray src(Slice(std::move(src_ranges)), elem);
+    for (auto& b : src.bytes()) {
+      b = static_cast<std::byte>(rng.uniform_int(0, 255));
+    }
+
+    std::vector<std::byte> expected;
+    sub.for_each_column_major([&](std::span<const Index> p) {
+      const auto element =
+          std::as_const(src).bytes().subspan(*src.offset_of(p), elem);
+      expected.insert(expected.end(), element.begin(), element.end());
+    });
+    std::vector<std::byte> stream(expected.size());
+    src.extract(sub, stream);
+    ASSERT_EQ(stream, expected)
+        << sub.to_string() << " from " << src.mapped().to_string();
+
+    LocalArray dst(Slice(std::move(dst_ranges)), elem);
+    const auto fill = dst.bytes();
+    std::fill(fill.begin(), fill.end(), kSentinel);
+    dst.insert(sub, stream);
+    std::vector<std::byte> want(dst.byte_size(), kSentinel);
+    std::size_t cursor = 0;
+    sub.for_each_column_major([&](std::span<const Index> p) {
+      std::memcpy(want.data() + *dst.offset_of(p), stream.data() + cursor,
+                  elem);
+      cursor += elem;
+    });
+    const auto got = std::as_const(dst).bytes();
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << sub.to_string() << " into " << dst.mapped().to_string();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LocalArrayRunWalker, ::testing::Range(1, 9));
 
 }  // namespace

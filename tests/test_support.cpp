@@ -184,14 +184,25 @@ TEST(Crc32c, ActiveKernelIsAvailableAndUsedByDefaultPath) {
 TEST(Crc32c, KernelsAgreeOnRandomSizesAndAlignments) {
   // Identical values across kernels for arbitrary lengths and (crucially
   // for the hardware kernels' head/tail handling) arbitrary alignments.
+  // Lengths reach 256 KiB, so the x86-64 kernel runs many of its
+  // three-lane 12 KiB blocks plus a head and a tail; the fixed lengths
+  // sit on and beside whole blocks.
+  constexpr std::size_t kMaxLen = 256 * 1024;
+  constexpr std::size_t kBlock = 3 * 4096;
   Rng rng(0xC3C3);
-  std::vector<std::byte> pool(16384 + 64);
+  std::vector<std::byte> pool(kMaxLen + 64);
   for (auto& x : pool) {
     x = static_cast<std::byte>(rng.uniform_int(0, 255));
   }
+  std::vector<std::size_t> lengths{
+      0, 7, 8, kBlock - 1, kBlock, kBlock + 1, 2 * kBlock, 2 * kBlock + 9,
+      kMaxLen};
   for (int iter = 0; iter < 50; ++iter) {
+    lengths.push_back(static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kMaxLen))));
+  }
+  for (const std::size_t len : lengths) {
     const auto offset = static_cast<std::size_t>(rng.uniform_int(0, 63));
-    const auto len = static_cast<std::size_t>(rng.uniform_int(0, 16384));
     const std::span<const std::byte> view =
         std::span(pool).subspan(offset, len);
     const std::uint32_t reference = crc32c(Crc32cKernel::kBytewise, view);
@@ -235,6 +246,83 @@ TEST(Crc32c, CombineMatchesConcatenation) {
 TEST(Crc32c, CombineWithEmptyIsIdentity) {
   const std::vector<std::byte> a{std::byte{1}, std::byte{2}};
   EXPECT_EQ(crc32c_combine(crc32c(a), 0, 0), crc32c(a));
+}
+
+/// zlib's GF(2) 32x32 matrix method: an independent reference for
+/// crc32c_combine's x^(2^k) table at any 64-bit length.
+std::uint32_t gf2_matrix_times(const std::uint32_t* mat, std::uint32_t vec) {
+  std::uint32_t sum = 0;
+  while (vec != 0) {
+    if (vec & 1u) {
+      sum ^= *mat;
+    }
+    vec >>= 1;
+    ++mat;
+  }
+  return sum;
+}
+
+void gf2_matrix_square(std::uint32_t* square, const std::uint32_t* mat) {
+  for (int n = 0; n < 32; ++n) {
+    square[n] = gf2_matrix_times(mat, mat[n]);
+  }
+}
+
+std::uint32_t matrix_combine(std::uint32_t crc1, std::uint32_t crc2,
+                             std::uint64_t len2) {
+  if (len2 == 0) {
+    return crc1;
+  }
+  std::uint32_t even[32];  // even-power-of-two zero operators
+  std::uint32_t odd[32];   // odd-power-of-two zero operators
+  odd[0] = 0x82f63b78u;    // one zero bit: the reflected polynomial
+  std::uint32_t row = 1;
+  for (int n = 1; n < 32; ++n) {
+    odd[n] = row;
+    row <<= 1;
+  }
+  gf2_matrix_square(even, odd);  // two zero bits
+  gf2_matrix_square(odd, even);  // four zero bits
+  do {
+    gf2_matrix_square(even, odd);
+    if (len2 & 1u) {
+      crc1 = gf2_matrix_times(even, crc1);
+    }
+    len2 >>= 1;
+    if (len2 == 0) {
+      break;
+    }
+    gf2_matrix_square(odd, even);
+    if (len2 & 1u) {
+      crc1 = gf2_matrix_times(odd, crc1);
+    }
+    len2 >>= 1;
+  } while (len2 != 0);
+  return crc1 ^ crc2;
+}
+
+TEST(Crc32c, CombineMatchesMatrixReferenceAtAny64BitLength) {
+  // Lengths no test can materialize: every bit of a 64-bit len2 must use
+  // its own x^(2^k) entry. A table that wraps every 32 entries, as zlib's
+  // does for CRC-32, agrees with the reference below 2^29 bytes only.
+  Rng rng(0x5EED);
+  std::vector<std::uint64_t> lengths{
+      1,          4096,       (1ull << 29) - 1, 1ull << 29, (1ull << 29) + 1,
+      1ull << 31, 1ull << 32, 1ull << 40,       1ull << 63, ~0ull};
+  for (int k = 0; k < 8; ++k) {
+    lengths.push_back((1ull << 32) +
+                      static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 20)));
+  }
+  for (int k = 0; k < 200; ++k) {
+    lengths.push_back(rng.next_u64() >> rng.uniform_int(0, 63));
+  }
+  for (const std::uint64_t len2 : lengths) {
+    const auto crc1 = static_cast<std::uint32_t>(rng.next_u64());
+    const auto crc2 = static_cast<std::uint32_t>(rng.next_u64());
+    EXPECT_EQ(crc32c_combine(crc1, crc2, len2),
+              matrix_combine(crc1, crc2, len2))
+        << "len2=" << len2;
+  }
 }
 
 TEST(Crc32c, MultiWayCombineIsAssociative) {
