@@ -192,6 +192,15 @@ std::uint64_t MemoryBackend::used_bytes() const {
   return used_bytes_;
 }
 
+std::uint64_t MemoryBackend::allocated_bytes() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::uint64_t total = 0;
+  for (const auto& [name, file] : files_) {
+    total += file->data.allocated_bytes();
+  }
+  return total;
+}
+
 double MemoryBackend::jittered(double seconds, support::Rng* jitter) const {
   if (jitter == nullptr || cost_ == nullptr || cost_->jitter_sigma <= 0.0) {
     return seconds;

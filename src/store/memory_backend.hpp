@@ -49,6 +49,9 @@ class MemoryBackend final : public StorageBackend {
     return capacity_bytes_;
   }
   [[nodiscard]] std::uint64_t used_bytes() const override;
+  /// Host bytes the stored blocks occupy; zero runs written with
+  /// write_zeros_at take none (tests of the sparse copy paths).
+  [[nodiscard]] std::uint64_t allocated_bytes() const;
 
   [[nodiscard]] const sim::CostModel* cost_model() const override {
     return cost_;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "support/crc32.hpp"
+#include "store/chunk_copy.hpp"
 #include "support/error.hpp"
 
 namespace drms::store {
@@ -49,11 +49,7 @@ std::optional<FragmentName> parse_fragment_name(const std::string& name) {
   return out;
 }
 
-void write_fragment(StorageBackend& storage, const std::string& frag_name,
-                    const FragmentHeader& header,
-                    std::span<const std::byte> payload) {
-  DRMS_EXPECTS_MSG(payload.size() == header.payload_bytes,
-                   "fragment payload size disagrees with its header");
+void write_fragment_header(FileHandle& file, const FragmentHeader& header) {
   support::ByteBuffer head;
   head.put_u32(kFragmentMagic);
   head.put_u32(static_cast<std::uint32_t>(header.kind));
@@ -62,20 +58,12 @@ void write_fragment(StorageBackend& storage, const std::string& frag_name,
   head.put_u64(header.payload_bytes);
   head.put_u64(header.total_bytes);
   head.put_u32(header.payload_crc);
-  FileHandle file = storage.create(frag_name);
   file.write_at(0, head.bytes());
-  if (!payload.empty()) {
-    file.write_at(kFragmentHeaderBytes, payload);
-  }
 }
 
-std::optional<FragmentHeader> read_fragment_header(
-    const StorageBackend& storage, const std::string& frag_name) {
-  if (!storage.exists(frag_name)) {
-    return std::nullopt;
-  }
-  const FileHandle file = storage.open(frag_name);
-  if (file.size() < kFragmentHeaderBytes) {
+std::optional<FragmentHeader> read_fragment_header(const FileHandle& file) {
+  const std::uint64_t size = file.size();
+  if (size < kFragmentHeaderBytes) {
     return std::nullopt;
   }
   support::ByteBuffer head = read_to_buffer(file, 0, kFragmentHeaderBytes);
@@ -89,25 +77,34 @@ std::optional<FragmentHeader> read_fragment_header(
   out.payload_bytes = head.get_u64();
   out.total_bytes = head.get_u64();
   out.payload_crc = head.get_u32();
-  if (file.size() < kFragmentHeaderBytes + out.payload_bytes) {
+  if (size - kFragmentHeaderBytes < out.payload_bytes) {
     return std::nullopt;  // torn payload
   }
   return out;
 }
 
-std::optional<support::ByteBuffer> read_fragment_payload(
-    const StorageBackend& storage, const std::string& frag_name,
-    const FragmentHeader& header) {
-  const FileHandle file = storage.open(frag_name);
-  if (file.size() < kFragmentHeaderBytes + header.payload_bytes) {
+std::optional<FragmentHeader> read_fragment_header(
+    const StorageBackend& storage, const std::string& frag_name) {
+  if (!storage.exists(frag_name)) {
     return std::nullopt;
   }
-  support::ByteBuffer payload =
-      read_to_buffer(file, kFragmentHeaderBytes, header.payload_bytes);
-  if (support::crc32c(payload.bytes()) != header.payload_crc) {
-    return std::nullopt;
+  return read_fragment_header(storage.open(frag_name));
+}
+
+bool fragment_payload_intact(const FileHandle& file,
+                             const FragmentHeader& header) {
+  const std::uint64_t size = file.size();
+  if (size < kFragmentHeaderBytes ||
+      size - kFragmentHeaderBytes < header.payload_bytes) {
+    return false;
   }
-  return payload;
+  std::uint32_t crc = 0;
+  CopySource payload{.file = file,
+                     .offset = kFragmentHeaderBytes,
+                     .length = header.payload_bytes,
+                     .crc = &crc};
+  stream_xor({&payload, 1}, CopySink{});
+  return crc == header.payload_crc;
 }
 
 FragmentExtent fragment_extent(std::uint64_t total_bytes, int data_fragments,

@@ -81,28 +81,33 @@ struct FragmentHeader {
   /// CRC-32C of the payload, verified by the scavenge path before a
   /// fragment is trusted for reassembly.
   std::uint32_t payload_crc = 0;
+
+  bool operator==(const FragmentHeader&) const = default;
 };
 
 inline constexpr std::uint32_t kFragmentMagic = 0x44524647;  // "DRFG"
 /// magic + kind + index + count + payload_bytes + total_bytes + crc.
 inline constexpr std::uint64_t kFragmentHeaderBytes = 4 + 4 + 4 + 4 + 8 + 8 + 4;
 
-/// Write one fragment file (header + payload) on `storage`.
-void write_fragment(StorageBackend& storage, const std::string& frag_name,
-                    const FragmentHeader& header,
-                    std::span<const std::byte> payload);
+/// Write a fragment's header at offset 0. Writers stream the payload (at
+/// kFragmentHeaderBytes) first and the header last: the payload CRC is
+/// known only then, and until the header lands the file carries no magic,
+/// so a fragment torn between the two is never mistaken for a live one.
+void write_fragment_header(FileHandle& file, const FragmentHeader& header);
 
-/// Parse a fragment file's header; nullopt when the file is missing, too
-/// small, or carries the wrong magic.
+/// Parse a fragment file's header; nullopt when the file is too small for
+/// it or for the payload it announces, or carries the wrong magic.
+[[nodiscard]] std::optional<FragmentHeader> read_fragment_header(
+    const FileHandle& file);
+/// The same by name; nullopt also when the file is missing.
 [[nodiscard]] std::optional<FragmentHeader> read_fragment_header(
     const StorageBackend& storage, const std::string& frag_name);
 
-/// Read a fragment's payload and verify it against the header CRC;
-/// nullopt when the payload is torn or corrupt (the scavenge path treats
-/// that fragment as lost).
-[[nodiscard]] std::optional<support::ByteBuffer> read_fragment_payload(
-    const StorageBackend& storage, const std::string& frag_name,
-    const FragmentHeader& header);
+/// Stream a fragment's payload and check it against the header CRC; false
+/// when it is torn or corrupt (the scavenge path treats that fragment as
+/// lost).
+[[nodiscard]] bool fragment_payload_intact(const FileHandle& file,
+                                           const FragmentHeader& header);
 
 // ---- contiguous split geometry ----------------------------------------------
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "support/crc32.hpp"
+#include "store/chunk_copy.hpp"
 #include "support/error.hpp"
 
 namespace drms::store {
@@ -20,6 +20,37 @@ std::uint64_t stable_hash(const std::string& name) {
     h *= 0x100000001b3ull;
   }
   return h;
+}
+
+/// Payload bytes of fragment `index` of a `total`-byte file. The last
+/// fragment is the parity, as long as the first (longest) data fragment.
+std::uint64_t payload_length(const RedundancyScheme& scheme,
+                             std::uint64_t total, int index) {
+  const int data_fragments = scheme.fragment_count() - 1;
+  return fragment_extent(total, data_fragments,
+                         index == data_fragments ? 0 : index)
+      .length;
+}
+
+/// Header of fragment `index` of a `total`-byte file whose payload has
+/// CRC `crc`.
+FragmentHeader header_of(const RedundancyScheme& scheme, int index,
+                         std::uint64_t total, std::uint32_t crc) {
+  FragmentHeader header;
+  header.kind = scheme.kind;
+  header.index = static_cast<std::uint32_t>(index);
+  header.fragment_count = static_cast<std::uint32_t>(scheme.fragment_count());
+  header.payload_bytes = payload_length(scheme, total, index);
+  header.total_bytes = total;
+  header.payload_crc = crc;
+  return header;
+}
+
+support::IoError beyond_tolerance(const std::string& name,
+                                  const RedundancyScheme& scheme) {
+  return support::IoError("file '" + name +
+                          "' lost more fragments than " + scheme.describe() +
+                          " tolerates");
 }
 
 }  // namespace
@@ -139,7 +170,7 @@ class RedundantBackend::RedundantFileObject final : public FileObject {
       if (lo >= hi) {
         continue;
       }
-      if (!backend_->fragment_live_locked(name_, *rec_, i)) {
+      if (!backend_->live_fragment_locked(name_, *rec_, i).has_value()) {
         backend_->rebuild_fragment_locked(name_, *rec_, i);  // read-repair
       }
       backend_->nodes_[static_cast<std::size_t>(
@@ -496,37 +527,9 @@ std::optional<std::uint64_t> RedundantBackend::encode_file(
   }
   const FileHandle src = staged->store->open(name);
   const std::uint64_t total = src.size();
-  const support::ByteBuffer content = read_to_buffer(src, 0, total);
-
-  // Build the fragment payloads.
-  const int count = scheme_.fragment_count();
-  std::vector<std::span<const std::byte>> payloads(
-      static_cast<std::size_t>(count));
-  support::ByteBuffer parity;
-  if (scheme_.kind == RedundancyKind::kPartner) {
-    payloads[0] = content.bytes();
-    payloads[1] = content.bytes();
-  } else {
-    const int data_fragments = scheme_.group_size - 1;
-    const std::uint64_t stripe =
-        fragment_extent(total, data_fragments, 0).length;
-    std::span<std::byte> p =
-        parity.append_uninitialized(static_cast<std::size_t>(stripe));
-    std::fill(p.begin(), p.end(), std::byte{0});
-    for (int i = 0; i < data_fragments; ++i) {
-      const FragmentExtent ext = fragment_extent(total, data_fragments, i);
-      payloads[static_cast<std::size_t>(i)] = content.bytes().subspan(
-          static_cast<std::size_t>(ext.offset),
-          static_cast<std::size_t>(ext.length));
-      for (std::uint64_t j = 0; j < ext.length; ++j) {
-        p[static_cast<std::size_t>(j)] ^=
-            content.bytes()[static_cast<std::size_t>(ext.offset + j)];
-      }
-    }
-    payloads[static_cast<std::size_t>(data_fragments)] = p;
-  }
 
   // Place one fragment per node, parity rotated by the file hash.
+  const int count = scheme_.fragment_count();
   std::vector<int> targets;
   for (int i = 0; i < count; ++i) {
     const int preferred =
@@ -542,32 +545,57 @@ std::optional<std::uint64_t> RedundantBackend::encode_file(
       return std::nullopt;  // not enough live nodes to protect the file
     }
   }
-  std::vector<std::string> written;
+
+  // The last fragment is the XOR parity of the data fragments. Partner is
+  // the one-data-fragment case: the parity of one fragment is its copy.
+  const int data_fragments = count - 1;
+  std::vector<FileHandle> files;
+  const auto discard = [&] {
+    for (std::size_t i = 0; i < files.size(); ++i) {
+      MemoryBackend& store =
+          *nodes_[static_cast<std::size_t>(targets[i])]->store;
+      const std::string frag = fragment_name(name, static_cast<int>(i));
+      if (store.exists(frag)) {
+        store.remove(frag);
+      }
+    }
+  };
   try {
     for (int i = 0; i < count; ++i) {
-      FragmentHeader header;
-      header.kind = scheme_.kind;
-      header.index = static_cast<std::uint32_t>(i);
-      header.fragment_count = static_cast<std::uint32_t>(count);
-      header.payload_bytes = payloads[static_cast<std::size_t>(i)].size();
-      header.total_bytes = total;
-      header.payload_crc =
-          support::crc32c(payloads[static_cast<std::size_t>(i)]);
-      write_fragment(*nodes_[static_cast<std::size_t>(targets[
-                         static_cast<std::size_t>(i)])]
-                          ->store,
-                     fragment_name(name, i), header,
-                     payloads[static_cast<std::size_t>(i)]);
-      written.push_back(fragment_name(name, i));
+      files.push_back(nodes_[static_cast<std::size_t>(targets[
+                                 static_cast<std::size_t>(i)])]
+                          ->store->create(fragment_name(name, i)));
+    }
+    std::vector<std::uint32_t> crcs(static_cast<std::size_t>(count));
+    std::vector<CopySource> sources;
+    for (int i = 0; i < data_fragments; ++i) {
+      const FragmentExtent ext = fragment_extent(total, data_fragments, i);
+      sources.push_back(CopySource{
+          .file = src,
+          .offset = ext.offset,
+          .length = ext.length,
+          .copy_to = files[static_cast<std::size_t>(i)],
+          .copy_offset = kFragmentHeaderBytes,
+          .crc = &crcs[static_cast<std::size_t>(i)]});
+    }
+    stream_xor(sources, CopySink{.file = files.back(),
+                                 .offset = kFragmentHeaderBytes,
+                                 .length = payload_length(scheme_, total,
+                                                          data_fragments),
+                                 .crc = &crcs.back()});
+    for (int i = 0; i < count; ++i) {
+      write_fragment_header(
+          files[static_cast<std::size_t>(i)],
+          header_of(scheme_, i, total, crcs[static_cast<std::size_t>(i)]));
     }
   } catch (const CapacityExceeded&) {
     // Undo the partial set; the file stays staged (readable, just not
     // redundant yet) rather than half-encoded.
-    for (std::size_t i = 0; i < written.size(); ++i) {
-      nodes_[static_cast<std::size_t>(targets[i])]->store->remove(
-          written[i]);
-    }
+    discard();
     return std::nullopt;
+  } catch (...) {
+    discard();
+    throw;
   }
   staged->store->remove(name);
   rec->staged_node = -1;
@@ -627,7 +655,7 @@ bool RedundantBackend::readable_locked(const std::string& name,
   }
   int missing = 0;
   for (int i = 0; i < scheme_.fragment_count(); ++i) {
-    if (!fragment_live_locked(name, rec, i)) {
+    if (!live_fragment_locked(name, rec, i).has_value()) {
       ++missing;
     }
   }
@@ -637,22 +665,34 @@ bool RedundantBackend::readable_locked(const std::string& name,
   return missing <= scheme_.tolerated_losses();
 }
 
-bool RedundantBackend::fragment_live_locked(const std::string& name,
-                                            const FileRec& rec,
-                                            int index) const {
+std::optional<RedundantBackend::LiveFragment>
+RedundantBackend::live_fragment_locked(const std::string& name,
+                                       const FileRec& rec, int index) const {
   const int node = rec.frag_nodes[static_cast<std::size_t>(index)];
   if (node < 0 || !nodes_[static_cast<std::size_t>(node)]->up.load()) {
-    return false;
+    return std::nullopt;
   }
-  return read_fragment_header(*nodes_[static_cast<std::size_t>(node)]->store,
-                              fragment_name(name, index))
-      .has_value();
+  const MemoryBackend& store = *nodes_[static_cast<std::size_t>(node)]->store;
+  const std::string frag = fragment_name(name, index);
+  if (!store.exists(frag)) {
+    return std::nullopt;
+  }
+  LiveFragment out{store.open(frag), {}};
+  const std::optional<FragmentHeader> header = read_fragment_header(out.file);
+  // Sound: it is the fragment this record expects, all but the payload
+  // CRC, which only a full read can check.
+  if (!header.has_value() ||
+      *header != header_of(scheme_, index, rec.total, header->payload_crc)) {
+    return std::nullopt;
+  }
+  out.header = *header;
+  return out;
 }
 
 int RedundantBackend::first_live_fragment_locked(const std::string& name,
                                                  const FileRec& rec) const {
   for (int i = 0; i < scheme_.fragment_count(); ++i) {
-    if (fragment_live_locked(name, rec, i)) {
+    if (live_fragment_locked(name, rec, i).has_value()) {
       return i;
     }
   }
@@ -660,73 +700,50 @@ int RedundantBackend::first_live_fragment_locked(const std::string& name,
                          "' lost every fast-tier fragment");
 }
 
-support::ByteBuffer RedundantBackend::fragment_payload_locked(
-    const std::string& name, const FileRec& rec, int index) const {
-  const auto read_checked =
-      [&](int i) -> std::optional<support::ByteBuffer> {
-    if (!fragment_live_locked(name, rec, i)) {
-      return std::nullopt;
+std::optional<std::uint32_t> RedundantBackend::stream_fragment_locked(
+    const std::string& name, const FileRec& rec, int index,
+    const FileHandle& dst, std::uint64_t offset) const {
+  std::uint32_t crc = 0;
+  const CopySink sink{.file = dst,
+                      .offset = offset,
+                      .length = payload_length(scheme_, rec.total, index),
+                      .crc = &crc};
+  const auto stream_from = [&](const std::vector<int>& indices) {
+    std::vector<CopySource> sources;
+    std::vector<std::uint32_t> expected;
+    std::vector<std::uint32_t> got(indices.size());
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+      std::optional<LiveFragment> live =
+          live_fragment_locked(name, rec, indices[k]);
+      if (!live.has_value()) {
+        return false;
+      }
+      sources.push_back(CopySource{.file = std::move(live->file),
+                                   .offset = kFragmentHeaderBytes,
+                                   .length = live->header.payload_bytes,
+                                   .crc = &got[k]});
+      expected.push_back(live->header.payload_crc);
     }
-    const auto& store =
-        *nodes_[static_cast<std::size_t>(
-                    rec.frag_nodes[static_cast<std::size_t>(i)])]
-             ->store;
-    const auto header =
-        read_fragment_header(store, fragment_name(name, i));
-    if (!header.has_value()) {
-      return std::nullopt;
-    }
-    return read_fragment_payload(store, fragment_name(name, i), *header);
+    stream_xor(sources, sink);
+    return got == expected;
   };
-
-  if (auto own = read_checked(index)) {
-    return std::move(*own);
-  }
-  if (scheme_.kind == RedundancyKind::kPartner) {
-    if (auto other = read_checked(1 - index)) {
-      return std::move(*other);  // payloads are identical full copies
-    }
-    throw support::IoError("file '" + name +
-                           "' lost both partner copies");
-  }
-  // XOR: the missing fragment is the XOR of every other one, truncated to
-  // its own extent length (the parity stripe is the longest extent).
-  const int data_fragments = scheme_.group_size - 1;
-  const std::uint64_t stripe =
-      fragment_extent(rec.total, data_fragments, 0).length;
-  support::ByteBuffer acc;
-  std::span<std::byte> a =
-      acc.append_uninitialized(static_cast<std::size_t>(stripe));
-  std::fill(a.begin(), a.end(), std::byte{0});
+  std::vector<int> others;
   for (int i = 0; i < scheme_.fragment_count(); ++i) {
-    if (i == index) {
-      continue;
-    }
-    const auto payload = read_checked(i);
-    if (!payload.has_value()) {
-      throw support::IoError("file '" + name +
-                             "' lost more fragments than the xor group "
-                             "tolerates");
-    }
-    const auto bytes = payload->bytes();
-    for (std::size_t j = 0; j < bytes.size(); ++j) {
-      a[j] ^= bytes[j];
+    if (i != index) {
+      others.push_back(i);
     }
   }
-  const std::uint64_t want =
-      index == data_fragments
-          ? stripe
-          : fragment_extent(rec.total, data_fragments, index).length;
-  acc.resize_uninitialized(static_cast<std::size_t>(want));
-  return acc;
+  if (stream_from({index}) || stream_from(others)) {
+    return crc;
+  }
+  return std::nullopt;
 }
 
 void RedundantBackend::rebuild_fragment_locked(const std::string& name,
                                                FileRec& rec, int index) {
-  support::ByteBuffer payload = fragment_payload_locked(name, rec, index);
   std::vector<int> avoid;
   for (int i = 0; i < scheme_.fragment_count(); ++i) {
-    if (i != index && fragment_live_locked(name, rec, i)) {
+    if (i != index && live_fragment_locked(name, rec, i).has_value()) {
       avoid.push_back(rec.frag_nodes[static_cast<std::size_t>(i)]);
     }
   }
@@ -742,53 +759,53 @@ void RedundantBackend::rebuild_fragment_locked(const std::string& name,
     throw support::IoError("rebuild '" + name +
                            "': no live node left for the fragment");
   }
-  FragmentHeader header;
-  header.kind = scheme_.kind;
-  header.index = static_cast<std::uint32_t>(index);
-  header.fragment_count =
-      static_cast<std::uint32_t>(scheme_.fragment_count());
-  header.payload_bytes = payload.bytes().size();
-  header.total_bytes = rec.total;
-  header.payload_crc = support::crc32c(payload.bytes());
-  write_fragment(*nodes_[static_cast<std::size_t>(node)]->store,
-                 fragment_name(name, index), header, payload.bytes());
+  MemoryBackend& store = *nodes_[static_cast<std::size_t>(node)]->store;
+  const std::string frag = fragment_name(name, index);
+  FileHandle file = store.create(frag);
+  std::optional<std::uint32_t> crc;
+  try {
+    crc = stream_fragment_locked(name, rec, index, file, kFragmentHeaderBytes);
+  } catch (...) {
+    store.remove(frag);
+    throw;
+  }
+  if (!crc.has_value()) {
+    store.remove(frag);
+    throw beyond_tolerance(name, scheme_);
+  }
+  write_fragment_header(file, header_of(scheme_, index, rec.total, *crc));
   rec.frag_nodes[static_cast<std::size_t>(index)] = node;
 }
 
 void RedundantBackend::materialize_locked(const std::string& name,
                                           FileRec& rec) {
-  support::ByteBuffer content;
-  if (scheme_.kind == RedundancyKind::kPartner) {
-    content = fragment_payload_locked(name, rec, 0);
-  } else {
-    content.reserve(static_cast<std::size_t>(rec.total));
-    for (int i = 0; i < scheme_.group_size - 1; ++i) {
-      content.append(fragment_payload_locked(name, rec, i).bytes());
-    }
-  }
-  // Drop the fragments first so the staged copy has room on the group.
-  for (int i = 0; i < scheme_.fragment_count(); ++i) {
-    const int node = rec.frag_nodes[static_cast<std::size_t>(i)];
-    if (node >= 0 && nodes_[static_cast<std::size_t>(node)]->up.load() &&
-        nodes_[static_cast<std::size_t>(node)]->store->exists(
-            fragment_name(name, i))) {
-      nodes_[static_cast<std::size_t>(node)]->store->remove(
-          fragment_name(name, i));
-    }
-  }
   const int node = pick_live_node(name, {});
   if (node < 0) {
     throw support::IoError("materialize '" + name +
                            "': every fast-tier node is down");
   }
-  FileHandle dst = nodes_[static_cast<std::size_t>(node)]->store->create(name);
-  if (!content.bytes().empty()) {
-    dst.write_at(0, content.bytes());
+  // Stream into the staged copy first and drop the fragments after: a
+  // write the node has no room for leaves the file encoded, and a tiered
+  // caller spills it instead of losing it.
+  MemoryBackend& store = *nodes_[static_cast<std::size_t>(node)]->store;
+  const FileHandle dst = store.create(name);
+  try {
+    const int data_fragments = scheme_.fragment_count() - 1;
+    for (int i = 0; i < data_fragments; ++i) {
+      if (!stream_fragment_locked(
+               name, rec, i, dst,
+               fragment_extent(rec.total, data_fragments, i).offset)) {
+        throw beyond_tolerance(name, scheme_);
+      }
+    }
+  } catch (...) {
+    store.remove(name);
+    throw;
   }
+  remove_physical_locked(name, rec);  // the fragments: nothing is staged
   rec.staged_node = node;
   rec.encoded = false;
   rec.frag_nodes.clear();
-  rec.total = content.bytes().size();
 }
 
 void RedundantBackend::remove_physical_locked(const std::string& name,
@@ -839,23 +856,16 @@ ScavengeReport RedundantBackend::scavenge(const std::string& prefix) {
     if (!rec->encoded) {
       continue;  // tombstone
     }
-    // CRC-verify every surviving fragment; a corrupt payload counts as
-    // missing (it must not poison a reassembly).
+    // CRC-verify every surviving fragment (header read once, payload
+    // streamed); a corrupt payload counts as missing (it must not poison
+    // a reassembly).
     std::vector<int> missing;
     for (int i = 0; i < scheme_.fragment_count(); ++i) {
-      if (!fragment_live_locked(name, *rec, i)) {
+      const std::optional<LiveFragment> live =
+          live_fragment_locked(name, *rec, i);
+      if (!live.has_value()) {
         missing.push_back(i);
-        continue;
-      }
-      const auto& store =
-          *nodes_[static_cast<std::size_t>(
-                      rec->frag_nodes[static_cast<std::size_t>(i)])]
-               ->store;
-      const auto header =
-          read_fragment_header(store, fragment_name(name, i));
-      if (!header.has_value() ||
-          !read_fragment_payload(store, fragment_name(name, i), *header)
-               .has_value()) {
+      } else if (!fragment_payload_intact(live->file, live->header)) {
         ++report.crc_failures;
         missing.push_back(i);
       }
@@ -864,12 +874,20 @@ ScavengeReport RedundantBackend::scavenge(const std::string& prefix) {
       ++report.files_intact;
       continue;
     }
-    const bool recoverable =
+    bool recovered =
         scheme_.kind == RedundancyKind::kPartner
             ? static_cast<int>(missing.size()) < scheme_.fragment_count()
             : static_cast<int>(missing.size()) <=
                   scheme_.tolerated_losses();
-    if (!recoverable) {
+    for (std::size_t k = 0; recovered && k < missing.size(); ++k) {
+      try {
+        rebuild_fragment_locked(name, *rec, missing[k]);
+        ++report.fragments_rebuilt;
+      } catch (const support::IoError&) {
+        recovered = false;  // a survivor failed its CRC, or no room
+      }
+    }
+    if (!recovered) {
       remove_physical_locked(name, *rec);
       rec->encoded = false;
       rec->frag_nodes.clear();
@@ -877,10 +895,6 @@ ScavengeReport RedundantBackend::scavenge(const std::string& prefix) {
       report.lost.push_back(name);
       dead.push_back(name);
       continue;
-    }
-    for (const int index : missing) {
-      rebuild_fragment_locked(name, *rec, index);
-      ++report.fragments_rebuilt;
     }
     ++report.files_rebuilt;
     report.bytes_recovered += rec->total;
@@ -897,12 +911,7 @@ void RedundantBackend::mirror_to(StorageBackend& dst) const {
       continue;
     }
     for (const auto& name : node->store->list()) {
-      const FileHandle src = node->store->open(name);
-      FileHandle out = dst.create(name);
-      const std::uint64_t size = src.size();
-      if (size > 0) {
-        out.write_at(0, read_to_buffer(src, 0, size).bytes());
-      }
+      copy_file(node->store->open(name), dst.create(name));
     }
   }
 }
@@ -924,6 +933,11 @@ std::vector<int> RedundantBackend::fragment_nodes_of(
   }
   const std::lock_guard<std::mutex> lock(rec->mutex);
   return rec->frag_nodes;
+}
+
+MemoryBackend& RedundantBackend::node_store(int node) {
+  DRMS_EXPECTS_MSG(node >= 0 && node < node_count(), "node out of range");
+  return *nodes_[static_cast<std::size_t>(node)]->store;
 }
 
 }  // namespace drms::store

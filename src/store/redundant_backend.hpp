@@ -11,7 +11,10 @@
 //             per file — see svc::submit_encode) fragments the staged
 //             copy across the group's nodes per the RedundancyScheme and
 //             drops the staged copy. From here the file survives the loss
-//             of any tolerated node subset.
+//             of any tolerated node subset. Every bulk copy streams
+//             through the chunk kernel (store/chunk_copy.hpp): memory is
+//             bounded by its chunk, zero blocks stay sparse, and each
+//             fragment's header lands after its payload.
 //   read      open()/read route to the staged copy when present; an
 //             encoded file is read straight out of its fragments
 //             (contiguous-split arithmetic, no reassembly copy). A
@@ -150,6 +153,9 @@ class RedundantBackend final : public StorageBackend {
   [[nodiscard]] int staged_node_of(const std::string& name) const;
   [[nodiscard]] std::vector<int> fragment_nodes_of(
       const std::string& name) const;
+  /// Node `node`'s own store, raw fragment files included (tests: inspect
+  /// or corrupt fragments in place).
+  [[nodiscard]] MemoryBackend& node_store(int node);
 
  private:
   struct Node {
@@ -180,25 +186,39 @@ class RedundantBackend final : public StorageBackend {
   [[nodiscard]] int pick_live_node(const std::string& name,
                                    const std::vector<int>& avoid) const;
 
-  // All four helpers below run with rec->mutex held.
+  /// A fragment file that is present on a live node with a sound header.
+  struct LiveFragment {
+    FileHandle file;
+    FragmentHeader header;
+  };
+
+  // The helpers below run with rec->mutex held.
   [[nodiscard]] bool readable_locked(const std::string& name,
                                      const FileRec& rec) const;
-  /// True when fragment `index` is present, live, and structurally sound.
-  [[nodiscard]] bool fragment_live_locked(const std::string& name,
-                                          const FileRec& rec,
-                                          int index) const;
+  /// Fragment `index` when it is present, live, and structurally sound
+  /// (its header read once).
+  [[nodiscard]] std::optional<LiveFragment> live_fragment_locked(
+      const std::string& name, const FileRec& rec, int index) const;
   /// Lowest live fragment index; throws IoError when none survived.
   [[nodiscard]] int first_live_fragment_locked(const std::string& name,
                                                const FileRec& rec) const;
-  /// Payload of fragment `index`, reconstructing it from the surviving
-  /// group when its own copy is gone. Throws IoError beyond tolerance.
-  [[nodiscard]] support::ByteBuffer fragment_payload_locked(
-      const std::string& name, const FileRec& rec, int index) const;
-  /// Rebuild missing fragment `index` onto a live node (read-repair).
+  /// Stream fragment `index`'s payload into `dst` at `offset`: from its
+  /// own copy when that verifies, else as the XOR of every other fragment
+  /// (a partner's other copy), each survivor CRC-checked as it is read.
+  /// Returns the CRC of the bytes written, or nullopt when no verified
+  /// source set exists; a failed attempt may leave bytes in `dst`.
+  [[nodiscard]] std::optional<std::uint32_t> stream_fragment_locked(
+      const std::string& name, const FileRec& rec, int index,
+      const FileHandle& dst, std::uint64_t offset) const;
+  /// Rebuild missing fragment `index` onto a live node (read-repair). The
+  /// header is written only once every survivor verified; otherwise the
+  /// partial file is removed and IoError thrown.
   void rebuild_fragment_locked(const std::string& name, FileRec& rec,
                                int index);
-  /// Reassemble an encoded file back into a staged copy (before a write
-  /// mutates it) and drop the fragments.
+  /// Reassemble an encoded file into a staged copy (before a write mutates
+  /// it), then drop the fragments. On failure (a full node, a corrupt
+  /// fragment set) the partial copy is removed and the error rethrown with
+  /// the file still encoded.
   void materialize_locked(const std::string& name, FileRec& rec);
   void remove_physical_locked(const std::string& name, FileRec& rec);
 

@@ -3,17 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "support/units.hpp"
+#include "store/chunk_copy.hpp"
 
 namespace drms::store {
-
-namespace {
-
-/// Chunk size for fast -> slow copies (bounds the host-memory footprint
-/// of draining a large staged segment).
-constexpr std::uint64_t kCopyChunkBytes = 8 * support::kMiB;
-
-}  // namespace
 
 /// Routes every operation to the file's CURRENT tier under the entry
 /// mutex, so a concurrent spill (capacity overflow on another task)
@@ -158,15 +150,7 @@ std::uint64_t TieredBackend::fast_admissible(std::uint64_t bytes) const {
 }
 
 std::uint64_t TieredBackend::copy_to_slow_locked(const std::string& name) {
-  const FileHandle src = fast_.open(name);
-  FileHandle dst = slow_.create(name);
-  const std::uint64_t total = src.size();
-  for (std::uint64_t offset = 0; offset < total;
-       offset += kCopyChunkBytes) {
-    const std::uint64_t n = std::min(kCopyChunkBytes, total - offset);
-    dst.write_at(offset, src.read_at(offset, n));
-  }
-  return total;
+  return copy_file(fast_.open(name), slow_.create(name));
 }
 
 void TieredBackend::spill_locked(const std::string& name, Entry& entry) {

@@ -167,8 +167,9 @@ class TieredBackend final : public StorageBackend {
   /// Move a file's staged bytes fast -> slow after a capacity overflow.
   /// Caller holds the entry mutex.
   void spill_locked(const std::string& name, Entry& entry);
-  /// Copy one file fast -> slow in bounded chunks. Caller holds the entry
-  /// mutex. Returns bytes copied.
+  /// Copy one file fast -> slow through the chunk kernel (bounded memory,
+  /// zero blocks kept sparse). Caller holds the entry mutex. Returns bytes
+  /// copied.
   std::uint64_t copy_to_slow_locked(const std::string& name);
   [[nodiscard]] bool fast_fits(std::uint64_t bytes) const;
   /// How much of a `bytes`-sized write the fast tier can still absorb

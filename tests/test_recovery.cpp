@@ -1,24 +1,32 @@
 // Tests for the recovery supervisor: reconfiguration policies, failure
 // schedules, the detect -> select -> verify -> reconfigure -> resume loop,
 // generation fallback past corrupt states, retention, SPMD task-count
-// pinning, the launch budget, and a reduced seeded chaos sweep. Every
+// pinning, the launch budget, supervised jobs that lose a node of a
+// redundant fast tier, and a reduced seeded chaos sweep. Every
 // recovered run must reproduce the failure-free field fingerprint —
 // the solver's numerics are distribution-invariant, so ONE baseline CRC
 // covers every task count, storage backend and restart path.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 
 #include "apps/solver.hpp"
 #include "arch/cluster.hpp"
 #include "core/checkpoint_catalog.hpp"
 #include "obs/recorder.hpp"
+#include "piofs/volume.hpp"
 #include "recovery/failure_schedule.hpp"
 #include "recovery/reconfig_policy.hpp"
 #include "recovery/supervisor.hpp"
 #include "rt/task_group.hpp"
 #include "store/fault_injection_backend.hpp"
 #include "store/memory_backend.hpp"
+#include "store/piofs_backend.hpp"
+#include "store/redundant_backend.hpp"
+#include "store/tiered_backend.hpp"
+#include "svc/drain_service.hpp"
+#include "svc/io_scheduler.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -378,6 +386,83 @@ TEST(Recovery, GivesUpWhenTheLaunchBudgetIsExhausted) {
     EXPECT_TRUE(l.killed);
   }
   EXPECT_TRUE(log.contains(arch::EventKind::kRecoveryGaveUp));
+}
+
+// ---- supervised jobs on the redundant fast tier ----------------------------
+
+/// A supervised SP job on TieredBackend(RedundantBackend, PIOFS). After
+/// every SOP the new generation is encoded and then drained through the
+/// IoScheduler, and one node is lost after the first SOP. The lost slot
+/// must come back from the fast tier alone: one partial recovery, the
+/// failure-free fingerprint, and not one slow-tier read.
+void expect_partial_recovery_from_the_fast_tier(
+    store::RedundancyScheme scheme) {
+  constexpr int kNodes = 4;  // a multiple of both group sizes
+  arch::Cluster cluster(machine_of(kNodes), nullptr);
+  piofs::Volume volume(4);
+  store::PiofsBackend slow(volume);
+  store::RedundantBackend fast(kNodes, scheme);
+  store::TieredBackend tiered(fast, slow);
+  svc::IoScheduler io;
+  const svc::JobToken protect = io.register_job("job.protect");
+  SameCountPolicy policy;
+
+  SupervisorOptions o = supervisor_options(tiered);
+  // Padding past one copy chunk, so the segment streams in several chunks
+  // and most of it is zero blocks.
+  o.solver.spec.private_bytes = 2 * 1024 * 1024 + 123;
+  o.preferred_tasks = 2;
+  o.partial_restore = true;
+  o.policy = &policy;
+  o.backoff_base = std::chrono::microseconds(1);
+  int protected_sops = 0;
+  o.solver.on_iteration = [&](std::int64_t it, TaskContext& ctx) {
+    if (ctx.rank() != 0 || it % kCheckpointEvery != 0) {
+      return;
+    }
+    const svc::EncodeTicket encode = svc::submit_encode(io, protect, fast);
+    io.barrier(protect);
+    const svc::DrainTicket drain = svc::submit_drain(io, protect, tiered);
+    io.barrier(protect);
+    if (encode.wait().files_encoded > 0 && drain.wait().files_drained > 0) {
+      ++protected_sops;
+    }
+  };
+  o.on_node_loss = [&](int node) {
+    fast.fail_node(node % kNodes);
+    tiered.reconcile_fast_tier();
+  };
+  o.scavenge = [&] { return fast.scavenge(); };
+
+  FailureSchedule schedule;
+  FailureEvent loss;
+  loss.kind = FailureKind::kNodeLoss;
+  loss.launch = 0;
+  loss.at_iteration = kCheckpointEvery + 1;  // after the first SOP
+  loss.node_ordinal = 1;
+  schedule.events.push_back(loss);
+
+  RecoverySupervisor supervisor(cluster);
+  const RecoveryReport report = supervisor.run(o, schedule);
+  ASSERT_TRUE(report.completed) << scheme.describe();
+  ASSERT_EQ(report.recoveries.size(), 1u) << scheme.describe();
+  EXPECT_TRUE(report.recoveries[0].partial) << scheme.describe();
+  EXPECT_EQ(report.outcome.field_crc, baseline_crc()) << scheme.describe();
+  // xor(4) on four nodes cannot place a new fragment set after the loss,
+  // so only the generation before it is sure to be protected.
+  EXPECT_GE(protected_sops, 1) << scheme.describe();
+  EXPECT_GT(volume.stats().bytes_written, 0u) << scheme.describe();
+  EXPECT_EQ(volume.stats().read_ops, 0u) << scheme.describe();
+}
+
+TEST(Recovery, PartnerTierRecoversALostNodeWithoutSlowReads) {
+  expect_partial_recovery_from_the_fast_tier(
+      store::RedundancyScheme{store::RedundancyKind::kPartner, 2});
+}
+
+TEST(Recovery, XorTierRecoversALostNodeWithoutSlowReads) {
+  expect_partial_recovery_from_the_fast_tier(
+      store::RedundancyScheme{store::RedundancyKind::kXor, 4});
 }
 
 // ---- reduced seeded chaos sweep (the full campaign lives in

@@ -1,16 +1,22 @@
 // Tests for the redundancy-encoded fast tier: fragment codec and naming,
 // contiguous-split geometry, the RedundantBackend staged/encoded life
 // cycle, a seeded sweep of lost-node subsets per scheme (scavenged
-// content must be bit-identical to the failure-free run), the
-// beyond-tolerance fallback through the tiered backend, the background
-// encode service, offline fragment-set auditing, and the arch-side
-// placement helpers.
+// content must be bit-identical to the failure-free run), the streamed
+// protection path (fragments equal a whole-buffer reference at chunk and
+// block edges, zero padding stays sparse, unverified bytes are never
+// trusted, a write on a full tier spills), the beyond-tolerance fallback
+// through the tiered backend, the background encode service, offline
+// fragment-set auditing, and the arch-side placement helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/cluster.hpp"
@@ -18,7 +24,10 @@
 #include "core/checkpoint_catalog.hpp"
 #include "obs/instrumented_backend.hpp"
 #include "obs/recorder.hpp"
+#include "piofs/volume.hpp"
+#include "store/chunk_copy.hpp"
 #include "store/memory_backend.hpp"
+#include "store/piofs_backend.hpp"
 #include "store/redundancy.hpp"
 #include "store/redundant_backend.hpp"
 #include "store/tiered_backend.hpp"
@@ -69,6 +78,15 @@ std::uint32_t stream_crc(const store::StorageBackend& storage,
   return support::crc32c(content);
 }
 
+/// One fragment file as the backend writes it: payload first, header last.
+void write_fragment(store::StorageBackend& storage, const std::string& name,
+                    const store::FragmentHeader& header,
+                    std::span<const std::byte> payload) {
+  auto file = storage.create(name);
+  file.write_at(store::kFragmentHeaderBytes, payload);
+  store::write_fragment_header(file, header);
+}
+
 // ---- fragment naming and codec ----------------------------------------------
 
 TEST(Redundancy, FragmentNameRoundTrip) {
@@ -108,25 +126,30 @@ TEST(Redundancy, FragmentCodecRoundTripRejectsCorruption) {
   header.payload_bytes = payload.size();
   header.total_bytes = 300;
   header.payload_crc = support::crc32c(payload);
-  store::write_fragment(storage, "f#f1", header, payload);
+  write_fragment(storage, "f#f1", header, payload);
 
   const auto back = store::read_fragment_header(storage, "f#f1");
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->index, 1u);
   EXPECT_EQ(back->fragment_count, 4u);
   EXPECT_EQ(back->total_bytes, 300u);
-  const auto data = store::read_fragment_payload(storage, "f#f1", *back);
-  ASSERT_TRUE(data.has_value());
-  EXPECT_EQ(support::crc32c(data->bytes()), header.payload_crc);
+  auto file = storage.open("f#f1");
+  EXPECT_TRUE(store::fragment_payload_intact(file, *back));
 
   // Flip a payload byte: the CRC check must reject it.
-  auto file = storage.open("f#f1");
   std::vector<std::byte> byte =
       file.read_at(store::kFragmentHeaderBytes + 10, 1);
   byte[0] ^= std::byte{0xff};
   file.write_at(store::kFragmentHeaderBytes + 10, byte);
-  EXPECT_FALSE(store::read_fragment_payload(storage, "f#f1", *back)
-                   .has_value());
+  EXPECT_FALSE(store::fragment_payload_intact(file, *back));
+
+  // A header announcing more payload than the file holds is torn, even
+  // when the size does not fit in 64 bits past the header.
+  store::FragmentHeader huge = header;
+  huge.payload_bytes = ~std::uint64_t{0} - 8;
+  write_fragment(storage, "f#f2", huge, payload);
+  EXPECT_FALSE(store::read_fragment_header(storage, "f#f2").has_value());
+  EXPECT_FALSE(store::fragment_payload_intact(storage.open("f#f2"), huge));
 
   EXPECT_FALSE(store::read_fragment_header(storage, "missing").has_value());
   storage.create("tiny").write_at(0, bytes_of("xy"));
@@ -324,6 +347,362 @@ TEST(RedundantBackend, ScavengeReportCountsTheRebuild) {
             support::crc32c(std::span<const std::byte>(payload)));
 }
 
+// ---- the streamed protection path -------------------------------------------
+
+constexpr RedundancyScheme kXor3{RedundancyKind::kXor, 3};
+/// The ExtentFile block: the copy kernel's zero-piece grid.
+constexpr std::uint64_t kBlock = 64 * 1024;
+constexpr std::uint64_t kChunk = store::kCopyChunkBytes;
+
+/// How one region of a test file is written.
+enum class Fill { kRandom, kLiteralZeros, kSparseZeros };
+struct Region {
+  std::uint64_t offset = 0;
+  std::uint64_t length = 0;
+  Fill fill = Fill::kRandom;
+};
+
+/// Regions tiling [0, size): random bytes broken by zero runs, some written
+/// as literal zeros and some with write_zeros_at, straddling block and
+/// chunk edges (the last one ends the 3 MiB + 17 file).
+std::vector<Region> mixed_layout(std::uint64_t size) {
+  const std::vector<Region> zero_runs = {
+      {5, 15, Fill::kLiteralZeros},
+      {25, 5, Fill::kSparseZeros},
+      {kBlock - 7, kBlock + 14, Fill::kLiteralZeros},
+      {2 * kBlock + 100, 3 * kBlock, Fill::kSparseZeros},
+      {kChunk - 2 * kBlock - 5, 3 * kBlock + 10, Fill::kSparseZeros},
+      {2 * kChunk - kBlock / 2, kBlock + 1, Fill::kLiteralZeros},
+      {3 * kChunk - 9, 26, Fill::kSparseZeros},
+  };
+  std::vector<Region> out;
+  std::uint64_t at = 0;
+  for (const Region& z : zero_runs) {
+    if (z.offset >= size) {
+      break;
+    }
+    if (z.offset > at) {
+      out.push_back({at, z.offset - at, Fill::kRandom});
+    }
+    out.push_back({z.offset, std::min(z.length, size - z.offset), z.fill});
+    at = z.offset + out.back().length;
+  }
+  if (at < size) {
+    out.push_back({at, size - at, Fill::kRandom});
+  }
+  return out;
+}
+
+/// Write `layout` into a fresh file and return its content.
+std::vector<std::byte> write_layout(store::StorageBackend& storage,
+                                    const std::string& name,
+                                    const std::vector<Region>& layout,
+                                    std::uint64_t seed) {
+  std::uint64_t size = 0;
+  for (const Region& r : layout) {
+    size += r.length;
+  }
+  std::vector<std::byte> content = seeded_payload(seed, size);
+  auto file = storage.create(name);
+  for (const Region& r : layout) {
+    const auto bytes =
+        std::span<std::byte>(content).subspan(r.offset, r.length);
+    if (r.fill != Fill::kRandom) {
+      std::fill(bytes.begin(), bytes.end(), std::byte{0});
+    }
+    if (r.fill == Fill::kSparseZeros) {
+      file.write_zeros_at(r.offset, r.length);
+    } else {
+      file.write_at(r.offset, bytes);
+    }
+  }
+  return content;
+}
+
+/// The fragment headers of a whole-buffer encoder: partner writes the file
+/// twice; xor splits it contiguously and folds the parity byte by byte.
+std::vector<store::FragmentHeader> reference_headers(
+    const RedundancyScheme& scheme, const std::vector<std::byte>& content) {
+  std::vector<std::vector<std::byte>> payloads;
+  if (scheme.kind == RedundancyKind::kPartner) {
+    payloads = {content, content};
+  } else {
+    const int data = scheme.group_size - 1;
+    std::vector<std::byte> parity(
+        store::fragment_extent(content.size(), data, 0).length, std::byte{0});
+    for (int i = 0; i < data; ++i) {
+      const auto ext = store::fragment_extent(content.size(), data, i);
+      const auto first =
+          content.begin() + static_cast<std::ptrdiff_t>(ext.offset);
+      payloads.emplace_back(first,
+                            first + static_cast<std::ptrdiff_t>(ext.length));
+      for (std::uint64_t j = 0; j < ext.length; ++j) {
+        parity[j] ^= content[ext.offset + j];
+      }
+    }
+    payloads.push_back(std::move(parity));
+  }
+  std::vector<store::FragmentHeader> out;
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    store::FragmentHeader h;
+    h.kind = scheme.kind;
+    h.index = static_cast<std::uint32_t>(i);
+    h.fragment_count = static_cast<std::uint32_t>(payloads.size());
+    h.payload_bytes = payloads[i].size();
+    h.total_bytes = content.size();
+    h.payload_crc = support::crc32c(payloads[i]);
+    out.push_back(h);
+  }
+  return out;
+}
+
+/// Every fragment of `name` is on a live node, carries `expect`'s header,
+/// and its payload passes that header's CRC.
+void expect_fragments(RedundantBackend& storage, const std::string& name,
+                      const std::vector<store::FragmentHeader>& expect,
+                      const std::string& label) {
+  const std::vector<int> nodes = storage.fragment_nodes_of(name);
+  ASSERT_EQ(nodes.size(), expect.size()) << label;
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    ASSERT_TRUE(storage.node_up(nodes[i])) << label << " #f" << i;
+    const store::MemoryBackend& node = storage.node_store(nodes[i]);
+    const std::string frag = store::fragment_name(name, static_cast<int>(i));
+    const auto h = store::read_fragment_header(node, frag);
+    ASSERT_TRUE(h.has_value()) << label << " #f" << i;
+    EXPECT_TRUE(*h == expect[i]) << label << " #f" << i << ": payload "
+                                 << h->payload_bytes << " crc "
+                                 << h->payload_crc << ", want "
+                                 << expect[i].payload_bytes << " crc "
+                                 << expect[i].payload_crc;
+    EXPECT_TRUE(store::fragment_payload_intact(node.open(frag), *h))
+        << label << " #f" << i;
+  }
+}
+
+std::vector<std::byte> content_of(const store::StorageBackend& storage,
+                                  const std::string& name) {
+  const auto file = storage.open(name);
+  return file.read_at(0, file.size());
+}
+
+TEST(RedundantBackend, StreamedEncodeMatchesTheWholeBufferReference) {
+  const std::vector<std::uint64_t> sizes = {
+      0,          1,      35,         36,     kBlock - 1,     kBlock,
+      kBlock + 1, kChunk - 1, kChunk, kChunk + 1, 3 * kChunk + 17};
+  for (const auto& [scheme, nodes] :
+       {std::pair{kPartner, 4}, std::pair{kXor3, 3}, std::pair{kXor4, 4}}) {
+    for (const std::uint64_t size : sizes) {
+      const std::vector<Region> layout = mixed_layout(size);
+      std::vector<std::byte> content;
+      std::vector<store::FragmentHeader> expect;
+      // lost == -1: no failure; otherwise that node dies after the encode.
+      for (int lost = -1; lost < nodes; ++lost) {
+        const std::string label = scheme.describe() + " size " +
+                                  std::to_string(size) + " lost " +
+                                  std::to_string(lost);
+        RedundantBackend storage(nodes, scheme);
+        content = write_layout(storage, "f", layout, size + 1);
+        if (expect.empty()) {
+          expect = reference_headers(scheme, content);
+        }
+        ASSERT_EQ(storage.encode_file("f"), std::optional<std::uint64_t>(size))
+            << label;
+        expect_fragments(storage, "f", expect, label);
+        EXPECT_EQ(content_of(storage, "f"), content) << label;
+        if (lost < 0) {
+          // Materialize (any write) and encode again: same bytes, same
+          // fragments.
+          storage.open("f").write_at(
+              0, std::span<const std::byte>(content).first(
+                     std::min<std::size_t>(1, content.size())));
+          EXPECT_GE(storage.staged_node_of("f"), 0) << label;
+          EXPECT_TRUE(storage.fragment_nodes_of("f").empty()) << label;
+          EXPECT_EQ(content_of(storage, "f"), content) << label;
+          ASSERT_TRUE(storage.encode_file("f").has_value()) << label;
+          expect_fragments(storage, "f", expect, label);
+          continue;
+        }
+        storage.fail_node(lost);
+        const store::ScavengeReport report = storage.scavenge();
+        EXPECT_TRUE(report.complete()) << label;
+        EXPECT_EQ(report.crc_failures, 0) << label;
+        EXPECT_EQ(content_of(storage, "f"), content) << label;
+        expect_fragments(storage, "f", expect, label);
+      }
+    }
+  }
+}
+
+TEST(RedundantBackend, EncodeAndDrainKeepZeroPaddingSparse) {
+  // Segment-shaped: real data, a long zero-fill gap, a little more data.
+  const std::vector<std::byte> head = seeded_payload(81, 100 * 1024);
+  const std::vector<std::byte> tail = seeded_payload(82, 5 * 1024);
+  const std::uint64_t gap = 8 * 1024 * 1024;
+  const std::uint64_t nonzero = head.size() + tail.size();
+  const std::string name = "job.g1.segment";
+  for (const auto& scheme : {kPartner, kXor4}) {
+    piofs::Volume volume(4);
+    store::PiofsBackend slow(volume);
+    RedundantBackend fast(4, scheme);
+    TieredBackend tiered(fast, slow);
+    auto file = tiered.create(name);
+    file.write_at(0, head);
+    file.write_zeros_at(head.size(), gap);
+    file.write_at(head.size() + gap, tail);
+    const std::uint32_t crc = stream_crc(tiered, name);
+
+    ASSERT_TRUE(fast.encode_file(name).has_value());
+    std::uint64_t allocated = 0;
+    for (int n = 0; n < fast.node_count(); ++n) {
+      allocated += fast.node_store(n).allocated_bytes();
+    }
+    // The non-zero bytes live twice (both partner copies, or data and
+    // parity); each fragment may add a block at each edge of its data.
+    EXPECT_GE(allocated, nonzero) << scheme.describe();
+    EXPECT_LE(allocated, 2 * nonzero + 2 * kBlock * static_cast<std::uint64_t>(
+                                           scheme.fragment_count()))
+        << scheme.describe();
+
+    ASSERT_EQ(tiered.drain().files_drained, 1);
+    EXPECT_EQ(volume.usage().logical_bytes, nonzero + gap);
+    EXPECT_LE(volume.usage().allocated_bytes, nonzero + 2 * kBlock)
+        << scheme.describe();
+    EXPECT_EQ(stream_crc(slow, name), crc);
+    EXPECT_EQ(stream_crc(fast, name), crc);
+  }
+}
+
+/// Flip one payload byte of a fragment file in place.
+void flip_payload_byte(store::StorageBackend& node, const std::string& frag,
+                       std::uint64_t at) {
+  auto file = node.open(frag);
+  std::vector<std::byte> byte =
+      file.read_at(store::kFragmentHeaderBytes + at, 1);
+  byte[0] ^= std::byte{0x5a};
+  file.write_at(store::kFragmentHeaderBytes + at, byte);
+}
+
+TEST(RedundantBackend, FragmentWithoutItsHeaderIsNotLive) {
+  RedundantBackend fast(4, kXor4);
+  const std::vector<std::byte> payload = seeded_payload(91, 5000);
+  fast.create("job.g3.segment").write_at(0, payload);
+  ASSERT_TRUE(fast.encode_file("job.g3.segment").has_value());
+  // A crash between a fragment's payload and its header leaves the payload
+  // with no magic in front of it.
+  const int node = fast.fragment_nodes_of("job.g3.segment")[1];
+  fast.node_store(node).open("job.g3.segment#f1").write_zeros_at(
+      0, store::kFragmentHeaderBytes);
+  EXPECT_FALSE(store::read_fragment_header(fast.node_store(node),
+                                           "job.g3.segment#f1")
+                   .has_value());
+
+  MemoryBackend exported;
+  fast.mirror_to(exported);
+  const auto states = core::fsck_scan(exported);
+  ASSERT_EQ(states.size(), 1u);
+  ASSERT_EQ(states[0].fragment_sets.size(), 1u);
+  EXPECT_EQ(states[0].fragment_sets[0].present, 3);
+  EXPECT_EQ(states[0].fragment_sets[0].expected, 4);
+  EXPECT_TRUE(states[0].fragment_sets[0].recoverable);
+
+  // The backend counts it missing too, and scavenge rebuilds it.
+  const store::ScavengeReport report = fast.scavenge();
+  EXPECT_EQ(report.files_rebuilt, 1);
+  EXPECT_EQ(report.fragments_rebuilt, 1);
+  EXPECT_EQ(report.crc_failures, 0);
+  EXPECT_EQ(content_of(fast, "job.g3.segment"), payload);
+}
+
+TEST(RedundantBackend, CorruptPartnerSurvivorIsNeverTrusted) {
+  RedundantBackend fast(4, kPartner);
+  const std::vector<std::byte> payload = seeded_payload(93, 3 * kBlock + 11);
+  fast.create("a").write_at(0, payload);
+  ASSERT_TRUE(fast.encode_file("a").has_value());
+  const std::vector<int> nodes = fast.fragment_nodes_of("a");
+  flip_payload_byte(fast.node_store(nodes[1]), "a#f1", 2 * kBlock + 5);
+  fast.fail_node(nodes[0]);
+
+  // A write must reassemble the file first. Its only copy fails the CRC,
+  // so the write throws and the file stays encoded, with no staged copy.
+  EXPECT_THROW(fast.open("a").write_at(0, bytes_of("x")), support::IoError);
+  EXPECT_EQ(fast.staged_node_of("a"), -1);
+  for (int n = 0; n < fast.node_count(); ++n) {
+    if (fast.node_up(n)) {
+      EXPECT_FALSE(fast.node_store(n).exists("a")) << n;
+    }
+  }
+
+  const store::ScavengeReport report = fast.scavenge();
+  EXPECT_EQ(report.crc_failures, 1);
+  EXPECT_EQ(report.files_lost, 1);
+  EXPECT_EQ(report.fragments_rebuilt, 0);
+  EXPECT_FALSE(fast.exists("a"));
+  for (int n = 0; n < fast.node_count(); ++n) {
+    if (fast.node_up(n)) {
+      EXPECT_FALSE(
+          store::read_fragment_header(fast.node_store(n), "a#f0").has_value())
+          << n;
+    }
+  }
+}
+
+TEST(RedundantBackend, XorLossPlusCorruptFragmentIsBeyondTolerance) {
+  RedundantBackend fast(4, kXor4);
+  const std::vector<std::byte> payload = seeded_payload(95, 200 * 1024);
+  fast.create("a").write_at(0, payload);
+  ASSERT_TRUE(fast.encode_file("a").has_value());
+  const std::vector<int> nodes = fast.fragment_nodes_of("a");
+  flip_payload_byte(fast.node_store(nodes[2]), "a#f2", 17);
+  fast.fail_node(nodes[0]);
+
+  // Read-repair of fragment 0 XORs the survivors; fragment 2 fails its
+  // CRC, so the rebuilt file is removed before it gets a header.
+  EXPECT_THROW((void)fast.open("a").read_at(0, 10), support::IoError);
+  for (int n = 0; n < fast.node_count(); ++n) {
+    if (fast.node_up(n)) {
+      EXPECT_FALSE(fast.node_store(n).exists("a#f0")) << n;
+    }
+  }
+
+  const store::ScavengeReport report = fast.scavenge();
+  EXPECT_EQ(report.crc_failures, 1);
+  EXPECT_EQ(report.files_lost, 1);
+  EXPECT_EQ(report.lost, std::vector<std::string>{"a"});
+  EXPECT_FALSE(fast.exists("a"));
+}
+
+TEST(RedundantBackend, WriteToAnEncodedFileOnAFullTierSpillsIt) {
+  MemoryBackend slow;
+  RedundantBackend fast(4, kXor4, 4200);
+  TieredBackend tiered(fast, slow);
+  const std::vector<std::byte> payload = seeded_payload(97, 3000);
+  tiered.create("a").write_at(0, payload);
+  ASSERT_TRUE(fast.encode_file("a").has_value());
+  ASSERT_EQ(tiered.drain().files_drained, 1);
+  // Fill every node with staged files until none has room for another.
+  const std::vector<std::byte> filler = seeded_payload(98, 100);
+  for (int k = 0; k < 400; ++k) {
+    try {
+      fast.create(std::to_string(k) + ".fill").write_at(0, filler);
+    } catch (const store::CapacityExceeded&) {
+    }
+  }
+  for (int n = 0; n < fast.node_count(); ++n) {
+    ASSERT_LT(4200 - fast.node_store(n).used_bytes(), filler.size()) << n;
+  }
+
+  // The write needs a staged copy that no node has room for: the file
+  // spills to the slow tier with its content instead of vanishing with its
+  // fragments.
+  tiered.open("a").write_at(0, bytes_of("X"));
+  std::vector<std::byte> expected = payload;
+  expected[0] = std::byte{'X'};
+  EXPECT_EQ(content_of(tiered, "a"), expected);
+  EXPECT_EQ(content_of(slow, "a"), expected);
+  EXPECT_FALSE(fast.exists("a"));
+  EXPECT_EQ(tiered.stats().fast_spills, 1u);
+}
+
 // ---- beyond tolerance: tiered fallback --------------------------------------
 
 TEST(RedundantBackend, BeyondToleranceLossFallsBackToTheSlowTier) {
@@ -448,9 +827,9 @@ TEST(RedundantBackend, FsckIgnoresFragmentsOnACommittedStateVolume) {
   header.payload_bytes = payload.size();
   header.total_bytes = payload.size();
   header.payload_crc = support::crc32c(payload);
-  store::write_fragment(storage, "app.segment#f0", header, payload);
+  write_fragment(storage, "app.segment#f0", header, payload);
   header.index = 1;
-  store::write_fragment(storage, "app.segment#f1", header, payload);
+  write_fragment(storage, "app.segment#f1", header, payload);
 
   const auto states = core::fsck_scan(storage);
   ASSERT_EQ(states.size(), 1u);
