@@ -105,7 +105,8 @@ std::vector<DeltaBlockRecord> read_delta_index(const store::FileHandle& file,
     r.stored_bytes = body.get_u64();
     r.payload_offset = body.get_u64();
     const std::uint32_t codec = body.get_u32();
-    if (codec > static_cast<std::uint32_t>(support::BlockCodec::kLz)) {
+    if (codec != static_cast<std::uint32_t>(support::BlockCodec::kRaw) &&
+        codec != static_cast<std::uint32_t>(support::BlockCodec::kLz)) {
       throw support::CorruptCheckpoint(what + ": unknown block codec id");
     }
     r.codec = static_cast<support::BlockCodec>(codec);

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <functional>
 #include <future>
+#include <optional>
 #include <utility>
 
 #include "core/exchange.hpp"
@@ -59,7 +61,50 @@ std::uint32_t combine_chunk_crcs(
   return combined;
 }
 
+/// One task's view of one round of the pipeline.
+struct Round {
+  std::size_t index = 0;
+  std::size_t first = 0;  // the round's first item
+  std::size_t count = 0;  // its items, one per I/O task: the round's width
+  std::size_t slot = 0;   // staging slot, index % 2
+  std::optional<std::size_t> item;  // the item this task carries, if any
+  std::uint64_t raw_bytes = 0;      // section bytes of the round's items
+};
+
+/// Per-chunk CRCs of one section stream. A worker folds its chunk's CRC
+/// into the staging slot's entry; landing records it in chunk order.
+struct ChunkCrcs {
+  bool wanted = false;
+  std::array<std::uint32_t, 2> slot{};
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> mine;
+
+  void land(const Round& round) {
+    if (wanted && round.item) {
+      mine.emplace_back(*round.item, slot[round.slot]);
+    }
+  }
+};
+
+std::function<const Slice&(std::size_t)> chunks_of(const StreamPlan& plan) {
+  return [&plan](std::size_t i) -> const Slice& { return plan.chunks[i]; };
+}
+
 }  // namespace
+
+/// What one stream supplies to run_rounds.
+struct ArrayStreamer::Stages {
+  const char* category;  // span category: "stream" or "delta"
+  std::size_t items;     // stream-order items: chunks or blocks
+  /// Section of item i (the canonical distribution puts it whole in the
+  /// task that carries it).
+  std::function<const Slice&(std::size_t)> slice_of;
+  /// I/O stage, run on a background worker against the carried item's
+  /// staging. Empty when the landing step does the I/O itself.
+  std::function<void(const Round&, LocalArray&)> work;
+  /// Runs on every task, in round order, after the round's worker has
+  /// joined; returns the bytes the round is charged for.
+  std::function<std::uint64_t(const Round&, const LocalArray&)> land;
+};
 
 StreamPlan make_stream_plan(const Slice& section, std::size_t elem_size,
                             int io_tasks,
@@ -85,6 +130,168 @@ StreamPlan make_stream_plan(const Slice& section, std::size_t elem_size,
   return plan;
 }
 
+void ArrayStreamer::run_rounds(rt::TaskContext& ctx, const DistArray& array,
+                               LocalArray* into, int io_tasks,
+                               const Stages& stages) const {
+  DRMS_EXPECTS_MSG(io_tasks >= 1 && io_tasks <= ctx.size(),
+                   "io_tasks must be within the task group size");
+  const bool reading = into != nullptr;
+  const std::size_t elem = array.elem_size();
+  const int me = ctx.rank();
+  const auto width = static_cast<std::size_t>(io_tasks);
+  const std::size_t rounds = (stages.items + width - 1) / width;
+  // The array's side of every exchange: where its elements live.
+  const std::vector<Slice> spread =
+      reading ? array.distribution().mapped_slices()
+              : array.distribution().assigned_slices();
+  const Slice empty = Slice::empty_of_rank(array.global_box().rank());
+  const bool timed = storage_ != nullptr && storage_->charges_time();
+  // One jitter draw per call: round-level noise would average out over
+  // the dozens of rounds and understate the paper's run-to-run spread.
+  const double jitter =
+      jitter_ && timed
+          ? ctx.shared_rng().jitter(storage_->cost_model()->jitter_sigma)
+          : 1.0;
+
+  // Two staging slots alternate. A slot is either exchanging (task
+  // thread) or in flight (worker), never both, and is staged again only
+  // after its round has landed. Declaration order matters: an async
+  // future blocks in its destructor, so the slots, declared first,
+  // outlive their workers on every unwind path.
+  std::array<LocalArray, 2> staging;
+  std::array<std::future<void>, 2> inflight;
+  // Opened at launch and closed at the join, both on the task thread, so
+  // the recorded overlap (round r+1's exchange opening before round r's
+  // in-flight span closes) is program order and deterministic.
+  std::array<std::size_t, 2> inflight_span{obs::kNoSpan, obs::kNoSpan};
+
+  const auto round_of = [&](std::size_t r) {
+    Round round;
+    round.index = r;
+    round.first = r * width;
+    round.count = std::min(width, stages.items - round.first);
+    round.slot = r % 2;
+    if (static_cast<std::size_t>(me) < round.count) {
+      round.item = round.first + static_cast<std::size_t>(me);
+    }
+    for (std::size_t i = round.first; i < round.first + round.count; ++i) {
+      round.raw_bytes +=
+          static_cast<std::uint64_t>(stages.slice_of(i).element_count()) *
+          elem;
+    }
+    return round;
+  };
+  const auto stage = [&](const Round& round) {
+    staging[round.slot] = round.item
+                              ? LocalArray(stages.slice_of(*round.item), elem)
+                              : LocalArray();
+  };
+  const auto launch = [&](const Round& round) {
+    if (!round.item || !stages.work) {
+      return;
+    }
+    LocalArray& slot = staging[round.slot];
+    if (recorder_ != nullptr) {
+      inflight_span[round.slot] = recorder_->begin_span(
+          stages.category, reading ? "read_inflight" : "write_inflight", me,
+          ctx.sim_time(),
+          {obs::Attr::num("round", static_cast<std::int64_t>(round.index)),
+           obs::Attr::num("chunk", static_cast<std::int64_t>(*round.item)),
+           obs::Attr::num("bytes",
+                          static_cast<std::int64_t>(slot.byte_size()))});
+    }
+    inflight[round.slot] =
+        std::async(std::launch::async,
+                   [&work = stages.work, round, &slot] { work(round, slot); });
+  };
+  // Redistribute the round between the array and the canonical
+  // distribution, where task q holds the round's item q.
+  const auto exchange = [&](const Round& round) {
+    std::vector<Slice> canonical(static_cast<std::size_t>(ctx.size()), empty);
+    for (std::size_t q = 0; q < round.count; ++q) {
+      canonical[q] = stages.slice_of(round.first + q);
+    }
+    LocalArray* const slot = round.item ? &staging[round.slot] : nullptr;
+    obs::ScopedSpan span(
+        recorder_, stages.category, "exchange", me, ctx.sim_time(),
+        {obs::Attr::num("round", static_cast<std::int64_t>(round.index)),
+         obs::Attr::str("dir", reading ? "read" : "write"),
+         obs::Attr::num("bytes",
+                        static_cast<std::int64_t>(round.raw_bytes))});
+    if (reading) {
+      exchange_sections(ctx, canonical, slot, spread,
+                        into->element_count() > 0 ? into : nullptr, elem,
+                        recorder_);
+    } else {
+      exchange_sections(ctx, spread, &array.local(me), canonical, slot, elem,
+                        recorder_);
+    }
+    span.end(ctx.sim_time());
+  };
+  // Join the round's worker, rethrowing its error (a torn write,
+  // exhausted retries, a corrupt block), then run the landing step.
+  const auto land = [&](const Round& round) {
+    if (inflight[round.slot].valid()) {
+      inflight[round.slot].get();
+      if (recorder_ != nullptr) {
+        recorder_->end_span(inflight_span[round.slot], ctx.sim_time());
+      }
+    }
+    return stages.land(round, staging[round.slot]);
+  };
+  const auto charge = [&](const Round& round, std::uint64_t bytes) {
+    if (timed) {
+      const int w = static_cast<int>(round.count);
+      ctx.charge(jitter *
+                 (reading ? storage_->stream_read_round_seconds(
+                                bytes, w, load_, nullptr)
+                          : storage_->stream_write_round_seconds(
+                                bytes, w, load_, nullptr)));
+    }
+  };
+
+  if (reading) {
+    // Land round r, then stage and launch r+1 so its read overlaps r's
+    // scatter, then scatter r, charge, barrier.
+    if (rounds > 0) {
+      const Round first = round_of(0);
+      stage(first);
+      launch(first);
+    }
+    for (std::size_t r = 0; r < rounds; ++r) {
+      const Round round = round_of(r);
+      const std::uint64_t bytes = land(round);
+      if (r + 1 < rounds) {
+        const Round next = round_of(r + 1);
+        stage(next);
+        launch(next);
+      }
+      exchange(round);
+      charge(round, bytes);
+      ctx.barrier();
+    }
+    return;
+  }
+  // Gather round r into its slot and launch its worker, then land r-1,
+  // whose worker ran during r's exchange, charge it, barrier. The last
+  // barrier follows the last landing: every task's writes have landed
+  // when run_rounds returns, so a caller (e.g. the commit protocol) may
+  // write its "data is complete" record.
+  for (std::size_t r = 0; r <= rounds; ++r) {
+    if (r < rounds) {
+      const Round round = round_of(r);
+      stage(round);
+      exchange(round);
+      launch(round);
+    }
+    if (r > 0) {
+      const Round prev = round_of(r - 1);
+      charge(prev, land(prev));
+    }
+    ctx.barrier();
+  }
+}
+
 std::uint64_t ArrayStreamer::write_section(rt::TaskContext& ctx,
                                            const DistArray& array,
                                            const Slice& x,
@@ -92,159 +299,42 @@ std::uint64_t ArrayStreamer::write_section(rt::TaskContext& ctx,
                                            std::uint64_t file_offset,
                                            int io_tasks,
                                            std::uint32_t* stream_crc) const {
-  DRMS_EXPECTS_MSG(io_tasks >= 1 && io_tasks <= ctx.size(),
-                   "io_tasks must be within the task group size");
   DRMS_EXPECTS_MSG(array.global_box().covers(x),
                    "section must lie within the array index space");
   const std::size_t elem = array.elem_size();
   const StreamPlan plan = make_stream_plan(x, elem, io_tasks,
                                            target_chunk_bytes_);
-  const std::vector<Slice> src_assigned =
-      array.distribution().assigned_slices();
-  const int p = ctx.size();
   const int me = ctx.rank();
-
-  const std::size_t m = plan.chunk_count();
-  const std::size_t rounds = (m + static_cast<std::size_t>(io_tasks) - 1) /
-                             static_cast<std::size_t>(io_tasks);
-  const Slice empty = Slice::empty_of_rank(x.rank());
-
-  // One jitter draw per section: round-level noise would average out over
-  // the dozens of rounds and understate the paper's run-to-run spread.
-  const double jitter_factor =
-      (jitter_ && storage_ != nullptr && storage_->charges_time())
-          ? ctx.shared_rng().jitter(storage_->cost_model()->jitter_sigma)
-          : 1.0;
-
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> my_chunk_crcs;
-  const bool want_crc = stream_crc != nullptr;
-
-  // Round pipeline: while round r's chunk is checksummed and written by a
-  // background worker, the main thread already runs round r+1's
-  // exchange_sections. Two staging buffers alternate; a buffer is reused
-  // only after its in-flight write has been joined. Declaration order
-  // matters: `staging` must outlive `inflight` (futures from std::async
-  // block in their destructor), so staging is declared first.
-  std::array<LocalArray, 2> staging;
-  std::array<std::uint64_t, 2> inflight_chunk{};
-  std::array<std::future<std::uint32_t>, 2> inflight;
-  // Trace span covering a chunk's in-flight window. Opened at async
-  // launch and closed at join — both on the main task thread, so the
-  // recorded overlap (round r+1's exchange beginning before round r's
-  // in-flight span ends) is program-order and therefore deterministic.
-  std::array<std::size_t, 2> inflight_span{obs::kNoSpan, obs::kNoSpan};
-
-  // Joining rethrows any worker exception (torn write, exhausted retries)
-  // so errors propagate out of write_section exactly as before, at most
-  // one round later.
-  const auto join = [&](std::size_t b) {
-    if (!inflight[b].valid()) {
-      return;
-    }
-    const std::uint32_t crc = inflight[b].get();
-    if (want_crc) {
-      my_chunk_crcs.emplace_back(inflight_chunk[b], crc);
-    }
-    if (recorder_ != nullptr && inflight_span[b] != obs::kNoSpan) {
-      recorder_->end_span(inflight_span[b], ctx.sim_time());
-      inflight_span[b] = obs::kNoSpan;
-    }
-  };
-
-  for (std::size_t r = 0; r < rounds; ++r) {
-    // Canonical destination of this round: task q holds chunk r*P + q.
-    std::vector<Slice> dst_mapped(static_cast<std::size_t>(p), empty);
-    std::uint64_t round_bytes = 0;
-    int writers = 0;
-    for (int q = 0; q < io_tasks; ++q) {
-      const std::size_t c = r * static_cast<std::size_t>(io_tasks) +
-                            static_cast<std::size_t>(q);
-      if (c >= m) {
-        break;
-      }
-      dst_mapped[static_cast<std::size_t>(q)] = plan.chunks[c];
-      round_bytes += static_cast<std::uint64_t>(
-                         plan.chunks[c].element_count()) *
-                     elem;
-      ++writers;
-    }
-
-    const std::size_t b = r % 2;
-    join(b);  // buffer b carried round r-2; it must land before reuse
-    const Slice& my_chunk = dst_mapped[static_cast<std::size_t>(me)];
-    staging[b] = my_chunk.empty() ? LocalArray()
-                                  : LocalArray(my_chunk, elem);
-    {
-      obs::ScopedSpan exchange_span(
-          recorder_, "stream", "exchange", me, ctx.sim_time(),
-          {obs::Attr::num("round", static_cast<std::int64_t>(r)),
-           obs::Attr::str("dir", "write"),
-           obs::Attr::num("bytes",
-                          static_cast<std::int64_t>(round_bytes))});
-      exchange_sections(ctx, src_assigned, &array.local(me), dst_mapped,
-                        staging[b].element_count() > 0 ? &staging[b]
-                                                       : nullptr,
-                        elem, recorder_);
-      exchange_span.end(ctx.sim_time());
-    }
-
-    if (staging[b].element_count() > 0) {
-      const std::size_t c = r * static_cast<std::size_t>(io_tasks) +
-                            static_cast<std::size_t>(me);
-      // The staging local is column-major over the chunk slice — already
-      // in stream order. The worker folds the CRC into the write pass:
-      // it checksums the buffer while it is cache-hot, immediately before
-      // the single write_at (one write op per chunk, as before).
-      inflight_chunk[b] = c;
-      obs::Recorder* const rec = recorder_;
-      if (rec != nullptr) {
-        inflight_span[b] = rec->begin_span(
-            "stream", "write_inflight", me, ctx.sim_time(),
-            {obs::Attr::num("round", static_cast<std::int64_t>(r)),
-             obs::Attr::num("chunk", static_cast<std::int64_t>(c)),
-             obs::Attr::num("bytes", static_cast<std::int64_t>(
-                                         staging[b].bytes().size()))});
-      }
-      inflight[b] = std::async(
-          std::launch::async,
-          [file, file_offset, c, &plan, &staging, b, want_crc, rec,
-           me]() mutable -> std::uint32_t {
-            std::uint32_t crc = 0;
-            {
-              obs::ScopedSpan crc_span(rec, "stream.worker", "crc", me,
-                                       -1.0);
-              crc = want_crc ? support::crc32c(staging[b].bytes()) : 0;
-            }
-            obs::ScopedSpan write_span(rec, "stream.worker", "write", me,
-                                       -1.0);
-            support::RetryPolicy policy;
-            policy.observer = rec;
-            policy.what = "stream.write";
-            support::retry_io(
-                [&] {
-                  file.write_at(file_offset + plan.offsets[c],
-                                staging[b].bytes());
-                },
-                policy);
-            return crc;
-          });
-    }
-
-    if (storage_ != nullptr && storage_->charges_time()) {
-      ctx.charge(jitter_factor * storage_->stream_write_round_seconds(
-                                     round_bytes, writers, load_, nullptr));
-    }
-    ctx.barrier();
-  }
-  // Join in round order so my_chunk_crcs stays in chunk-index order, then
-  // barrier: after it, every task's data writes have landed, so a caller
-  // (e.g. the commit protocol) may safely write its "data is complete"
-  // record. The barrier charges no simulated time.
-  join(rounds % 2);
-  join((rounds % 2) ^ 1);
-  ctx.barrier();
+  obs::Recorder* const rec = recorder_;
+  ChunkCrcs crcs;
+  crcs.wanted = stream_crc != nullptr;
+  const Stages stages{
+      "stream", plan.chunk_count(), chunks_of(plan),
+      // The staging local is column-major over the chunk, so already in
+      // stream order: checksum it while cache-hot, then one write_at.
+      [&](const Round& round, LocalArray& staging) {
+        const auto bytes = std::as_const(staging).bytes();
+        {
+          obs::ScopedSpan crc_span(rec, "stream.worker", "crc", me, -1.0);
+          crcs.slot[round.slot] = crcs.wanted ? support::crc32c(bytes) : 0;
+        }
+        obs::ScopedSpan write_span(rec, "stream.worker", "write", me, -1.0);
+        support::RetryPolicy policy;
+        policy.observer = rec;
+        policy.what = "stream.write";
+        support::retry_io(
+            [&] {
+              file.write_at(file_offset + plan.offsets[*round.item], bytes);
+            },
+            policy);
+      },
+      [&](const Round& round, const LocalArray&) {
+        crcs.land(round);
+        return round.raw_bytes;
+      }};
+  run_rounds(ctx, array, nullptr, io_tasks, stages);
   if (stream_crc != nullptr) {
-    *stream_crc = combine_chunk_crcs(ctx, my_chunk_crcs, plan, elem);
+    *stream_crc = combine_chunk_crcs(ctx, crcs.mine, plan, elem);
   }
   return plan.total_bytes;
 }
@@ -255,136 +345,36 @@ std::uint64_t ArrayStreamer::read_section(rt::TaskContext& ctx,
                                           std::uint64_t file_offset,
                                           int io_tasks,
                                           std::uint32_t* stream_crc) const {
-  DRMS_EXPECTS_MSG(io_tasks >= 1 && io_tasks <= ctx.size(),
-                   "io_tasks must be within the task group size");
   DRMS_EXPECTS_MSG(array.global_box().covers(x),
                    "section must lie within the array index space");
   const std::size_t elem = array.elem_size();
   const StreamPlan plan = make_stream_plan(x, elem, io_tasks,
                                            target_chunk_bytes_);
-  const std::vector<Slice> dst_mapped =
-      array.distribution().mapped_slices();
-  const int p = ctx.size();
   const int me = ctx.rank();
-
-  const std::size_t m = plan.chunk_count();
-  const std::size_t rounds = (m + static_cast<std::size_t>(io_tasks) - 1) /
-                             static_cast<std::size_t>(io_tasks);
-  const Slice empty = Slice::empty_of_rank(x.rank());
-
-  LocalArray& my_local = array.local(me);
-
-  const double jitter_factor =
-      (jitter_ && storage_ != nullptr && storage_->charges_time())
-          ? ctx.shared_rng().jitter(storage_->cost_model()->jitter_sigma)
-          : 1.0;
-
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> my_chunk_crcs;
-  const bool want_crc = stream_crc != nullptr;
-
-  // Round pipeline, read direction: while round r's bytes scatter through
-  // exchange_sections, a background worker already reads (and checksums)
-  // round r+1's chunk straight into the other staging buffer. `staging`
-  // must outlive `inflight` (async futures block in their destructor on
-  // early exit), so it is declared first.
-  std::array<LocalArray, 2> staging;
-  std::array<std::future<std::uint32_t>, 2> inflight;
-  // In-flight read window, opened at launch / closed at the get() —
-  // both on the main task thread (see write_section).
-  std::array<std::size_t, 2> inflight_span{obs::kNoSpan, obs::kNoSpan};
-
-  // Kick off the read of round r's chunk into staging[r % 2]. The worker
-  // lands the bytes directly in the staging buffer (read_at_into, no
-  // intermediate vector) and checksums them while cache-hot.
-  const auto start_read = [&](std::size_t r) {
-    const std::size_t b = r % 2;
-    const std::size_t c = r * static_cast<std::size_t>(io_tasks) +
-                          static_cast<std::size_t>(me);
-    if (me >= io_tasks || c >= m) {
-      staging[b] = LocalArray();
-      return;
-    }
-    staging[b] = LocalArray(plan.chunks[c], elem);
-    obs::Recorder* const rec = recorder_;
-    if (rec != nullptr) {
-      inflight_span[b] = rec->begin_span(
-          "stream", "read_inflight", me, ctx.sim_time(),
-          {obs::Attr::num("round", static_cast<std::int64_t>(r)),
-           obs::Attr::num("chunk", static_cast<std::int64_t>(c)),
-           obs::Attr::num("bytes", static_cast<std::int64_t>(
-                                       staging[b].bytes().size()))});
-    }
-    inflight[b] = std::async(
-        std::launch::async,
-        [&file, file_offset, c, &plan, &staging, b, want_crc, rec,
-         me]() -> std::uint32_t {
-          {
-            obs::ScopedSpan read_span(rec, "stream.worker", "read", me,
-                                      -1.0);
-            file.read_at_into(file_offset + plan.offsets[c],
-                              staging[b].bytes());
-          }
-          obs::ScopedSpan crc_span(rec, "stream.worker", "crc", me, -1.0);
-          return want_crc ? support::crc32c(staging[b].bytes()) : 0;
-        });
-  };
-
-  start_read(0);
-  for (std::size_t r = 0; r < rounds; ++r) {
-    std::vector<Slice> src_chunks(static_cast<std::size_t>(p), empty);
-    std::uint64_t round_bytes = 0;
-    int readers = 0;
-    for (int q = 0; q < io_tasks; ++q) {
-      const std::size_t c = r * static_cast<std::size_t>(io_tasks) +
-                            static_cast<std::size_t>(q);
-      if (c >= m) {
-        break;
-      }
-      src_chunks[static_cast<std::size_t>(q)] = plan.chunks[c];
-      round_bytes += static_cast<std::uint64_t>(
-                         plan.chunks[c].element_count()) *
-                     elem;
-      ++readers;
-    }
-
-    const std::size_t b = r % 2;
-    if (inflight[b].valid()) {
-      const std::uint32_t crc = inflight[b].get();  // rethrows read errors
-      if (want_crc) {
-        my_chunk_crcs.emplace_back(
-            r * static_cast<std::size_t>(io_tasks) +
-                static_cast<std::size_t>(me),
-            crc);
-      }
-      if (recorder_ != nullptr && inflight_span[b] != obs::kNoSpan) {
-        recorder_->end_span(inflight_span[b], ctx.sim_time());
-        inflight_span[b] = obs::kNoSpan;
-      }
-    }
-    if (r + 1 < rounds) {
-      start_read(r + 1);  // overlaps this round's exchange below
-    }
-
-    obs::ScopedSpan exchange_span(
-        recorder_, "stream", "exchange", me, ctx.sim_time(),
-        {obs::Attr::num("round", static_cast<std::int64_t>(r)),
-         obs::Attr::str("dir", "read"),
-         obs::Attr::num("bytes", static_cast<std::int64_t>(round_bytes))});
-    exchange_sections(ctx, src_chunks,
-                      staging[b].element_count() > 0 ? &staging[b] : nullptr,
-                      dst_mapped,
-                      my_local.element_count() > 0 ? &my_local : nullptr,
-                      elem, recorder_);
-    exchange_span.end(ctx.sim_time());
-
-    if (storage_ != nullptr && storage_->charges_time()) {
-      ctx.charge(jitter_factor * storage_->stream_read_round_seconds(
-                                     round_bytes, readers, load_, nullptr));
-    }
-    ctx.barrier();
-  }
+  obs::Recorder* const rec = recorder_;
+  ChunkCrcs crcs;
+  crcs.wanted = stream_crc != nullptr;
+  const Stages stages{
+      "stream", plan.chunk_count(), chunks_of(plan),
+      // Land the bytes straight in staging (no intermediate vector) and
+      // checksum them while cache-hot.
+      [&](const Round& round, LocalArray& staging) {
+        {
+          obs::ScopedSpan read_span(rec, "stream.worker", "read", me, -1.0);
+          file.read_at_into(file_offset + plan.offsets[*round.item],
+                            staging.bytes());
+        }
+        obs::ScopedSpan crc_span(rec, "stream.worker", "crc", me, -1.0);
+        crcs.slot[round.slot] =
+            crcs.wanted ? support::crc32c(std::as_const(staging).bytes()) : 0;
+      },
+      [&](const Round& round, const LocalArray&) {
+        crcs.land(round);
+        return round.raw_bytes;
+      }};
+  run_rounds(ctx, array, &array.local(me), io_tasks, stages);
   if (stream_crc != nullptr) {
-    *stream_crc = combine_chunk_crcs(ctx, my_chunk_crcs, plan, elem);
+    *stream_crc = combine_chunk_crcs(ctx, crcs.mine, plan, elem);
   }
   return plan.total_bytes;
 }
@@ -393,179 +383,94 @@ ArrayStreamer::DeltaWriteResult ArrayStreamer::write_delta_blocks(
     rt::TaskContext& ctx, const DistArray& array, const StreamPlan& blocks,
     const std::vector<std::uint64_t>& dirty, store::FileHandle file,
     int io_tasks, support::BlockCodec codec) const {
-  DRMS_EXPECTS_MSG(io_tasks >= 1 && io_tasks <= ctx.size(),
-                   "io_tasks must be within the task group size");
-  const std::size_t elem = array.elem_size();
-  const std::vector<Slice> src_assigned =
-      array.distribution().assigned_slices();
-  const int p = ctx.size();
   const int me = ctx.rank();
-
-  const std::size_t m = dirty.size();
-  const std::size_t rounds = (m + static_cast<std::size_t>(io_tasks) - 1) /
-                             static_cast<std::size_t>(io_tasks);
-  const Slice empty = Slice::empty_of_rank(array.global_box().rank());
-
-  const double jitter_factor =
-      (jitter_ && storage_ != nullptr && storage_->charges_time())
-          ? ctx.shared_rng().jitter(storage_->cost_model()->jitter_sigma)
-          : 1.0;
-
+  obs::Recorder* const rec = recorder_;
   DeltaWriteResult result;
 
-  /// Worker output of the codec stage (the encoded bytes land in the
-  /// buffer slot's ByteBuffer).
+  /// Codec-stage output of one staging slot; the encoded bytes land in
+  /// the slot's `encoded` buffer, which keeps its capacity across rounds.
   struct Compressed {
     std::uint32_t raw_crc = 0;
     std::uint32_t stored_crc = 0;
     support::BlockCodec used = support::BlockCodec::kRaw;
   };
-
-  // Two-slot pipeline over (staging, encoded) pairs. A slot's write from
-  // round r-2 must land before round r reuses it; its compression from
-  // round r-1 is joined when that round's stored sizes are agreed.
-  // Declaration order: buffers before futures (future destructors block).
-  std::array<LocalArray, 2> staging;
+  std::array<Compressed, 2> compressed{};
   std::array<support::ByteBuffer, 2> encoded;
-  std::array<std::future<Compressed>, 2> compressing;
-  std::array<std::future<void>, 2> writing;
   std::uint64_t payload_cursor = 0;
 
-  // Close out the round whose compression was launched in iteration r:
-  // join the codec worker, agree on this round's stored sizes (an
-  // all_gather in rank order == block order, since compressed sizes are
-  // data-dependent and offsets cannot be precomputed), record the index
-  // entries, and launch the pipelined payload write.
-  const auto finalize_round = [&](std::size_t r) {
-    const std::size_t b = r % 2;
-    Compressed mine{};
-    const bool have = compressing[b].valid();
-    if (have) {
-      mine = compressing[b].get();  // rethrows codec-worker errors
-    }
-    support::ByteBuffer contribution;
-    contribution.put_bool(have);
-    if (have) {
-      contribution.put_u64(staging[b].byte_size());
-      contribution.put_u64(encoded[b].size());
-      contribution.put_u32(static_cast<std::uint32_t>(mine.used));
-      contribution.put_u32(mine.raw_crc);
-      contribution.put_u32(mine.stored_crc);
-    }
-    auto all = rt::all_gather(ctx, std::move(contribution));
-    std::uint64_t my_offset = 0;
-    std::uint64_t round_stored = 0;
-    int writers = 0;
-    for (int q = 0; q < p; ++q) {
-      auto& buf = all[static_cast<std::size_t>(q)];
-      if (!buf.get_bool()) {
-        continue;
-      }
-      DeltaBlockRecord rec;
-      rec.block_index = dirty[r * static_cast<std::size_t>(io_tasks) +
-                              static_cast<std::size_t>(q)];
-      rec.raw_bytes = buf.get_u64();
-      rec.stored_bytes = buf.get_u64();
-      rec.codec = static_cast<support::BlockCodec>(buf.get_u32());
-      rec.raw_crc = buf.get_u32();
-      rec.stored_crc = buf.get_u32();
-      rec.payload_offset = payload_cursor;
-      if (q == me) {
-        my_offset = payload_cursor;
-      }
-      payload_cursor += rec.stored_bytes;
-      round_stored += rec.stored_bytes;
-      ++writers;
-      result.raw_bytes += rec.raw_bytes;
-      result.stored_bytes += rec.stored_bytes;
-      result.records.push_back(rec);
-    }
-    if (have) {
-      obs::Recorder* const rec = recorder_;
-      writing[b] = std::async(
-          std::launch::async,
-          [file, off = wire::kDeltaHeaderBytes + my_offset, &encoded, b,
-           rec, me]() mutable {
-            obs::ScopedSpan write_span(rec, "delta.worker", "write", me, -1.0);
-            support::RetryPolicy policy;
-            policy.observer = rec;
-            policy.what = "delta.write";
-            support::retry_io([&] { file.write_at(off, encoded[b].bytes()); },
-                              policy);
-          });
-    }
-    if (storage_ != nullptr && storage_->charges_time()) {
-      ctx.charge(jitter_factor * storage_->stream_write_round_seconds(
-                                     round_stored, std::max(writers, 1),
-                                     load_, nullptr));
-    }
-    ctx.barrier();
-  };
-
-  for (std::size_t r = 0; r < rounds; ++r) {
-    const std::size_t b = r % 2;
-    if (writing[b].valid()) {
-      writing[b].get();  // slot b carried round r-2; land before reuse
-    }
-    std::vector<Slice> dst_mapped(static_cast<std::size_t>(p), empty);
-    for (int q = 0; q < io_tasks; ++q) {
-      const std::size_t i = r * static_cast<std::size_t>(io_tasks) +
-                            static_cast<std::size_t>(q);
-      if (i >= m) {
-        break;
-      }
-      dst_mapped[static_cast<std::size_t>(q)] =
-          blocks.chunks[static_cast<std::size_t>(dirty[i])];
-    }
-    const Slice& my_block = dst_mapped[static_cast<std::size_t>(me)];
-    staging[b] = my_block.empty() ? LocalArray() : LocalArray(my_block, elem);
-    {
-      obs::ScopedSpan exchange_span(
-          recorder_, "delta", "exchange", me, ctx.sim_time(),
-          {obs::Attr::num("round", static_cast<std::int64_t>(r)),
-           obs::Attr::str("dir", "write")});
-      exchange_sections(ctx, src_assigned, &array.local(me), dst_mapped,
-                        staging[b].element_count() > 0 ? &staging[b]
-                                                       : nullptr,
-                        elem, recorder_);
-      exchange_span.end(ctx.sim_time());
-    }
-    if (staging[b].element_count() > 0) {
-      encoded[b].clear();
-      obs::Recorder* const rec = recorder_;
-      compressing[b] = std::async(
-          std::launch::async,
-          [&staging, &encoded, b, codec, rec, me]() -> Compressed {
-            Compressed out;
-            {
-              obs::ScopedSpan crc_span(rec, "delta.worker", "crc", me, -1.0);
-              out.raw_crc = support::crc32c(
-                  std::as_const(staging[b]).bytes());
-            }
-            obs::ScopedSpan encode_span(rec, "delta.worker", "encode", me,
-                                        -1.0);
-            out.used = support::block_encode(
-                codec, std::as_const(staging[b]).bytes(), encoded[b]);
-            out.stored_crc = support::crc32c(encoded[b].bytes());
-            return out;
-          });
-    }
-    if (r >= 1) {
-      finalize_round(r - 1);  // overlaps round r's codec worker
-    }
-  }
-  if (rounds >= 1) {
-    finalize_round(rounds - 1);
-  }
-  if (writing[0].valid()) {
-    writing[0].get();
-  }
-  if (writing[1].valid()) {
-    writing[1].get();
-  }
-  // After this barrier every task's payload writes have landed; the
-  // engine may write the index and (last) the header.
-  ctx.barrier();
+  const Stages stages{
+      "delta", dirty.size(),
+      [&](std::size_t i) -> const Slice& {
+        return blocks.chunks[static_cast<std::size_t>(dirty[i])];
+      },
+      [&](const Round& round, LocalArray& staging) {
+        const auto raw = std::as_const(staging).bytes();
+        Compressed& out = compressed[round.slot];
+        support::ByteBuffer& enc = encoded[round.slot];
+        enc.clear();
+        {
+          obs::ScopedSpan crc_span(rec, "delta.worker", "crc", me, -1.0);
+          out.raw_crc = support::crc32c(raw);
+        }
+        obs::ScopedSpan encode_span(rec, "delta.worker", "encode", me, -1.0);
+        out.used = support::block_encode(codec, raw, enc);
+        out.stored_crc = support::crc32c(enc.bytes());
+      },
+      // Compressed sizes are data-dependent, so payload offsets cannot be
+      // precomputed: agree on the round's stored sizes (an all_gather in
+      // rank order == block order), record the index entries, then write
+      // this task's payload.
+      [&](const Round& round, const LocalArray& staging) -> std::uint64_t {
+        const Compressed& mine = compressed[round.slot];
+        support::ByteBuffer contribution;
+        contribution.put_bool(round.item.has_value());
+        if (round.item) {
+          contribution.put_u64(staging.byte_size());
+          contribution.put_u64(encoded[round.slot].size());
+          contribution.put_u32(static_cast<std::uint32_t>(mine.used));
+          contribution.put_u32(mine.raw_crc);
+          contribution.put_u32(mine.stored_crc);
+        }
+        auto all = rt::all_gather(ctx, std::move(contribution));
+        std::uint64_t my_offset = 0;
+        std::uint64_t round_stored = 0;
+        for (std::size_t q = 0; q < all.size(); ++q) {
+          auto& buf = all[q];
+          if (!buf.get_bool()) {
+            continue;
+          }
+          DeltaBlockRecord r;
+          r.block_index = dirty[round.first + q];
+          r.raw_bytes = buf.get_u64();
+          r.stored_bytes = buf.get_u64();
+          r.codec = static_cast<support::BlockCodec>(buf.get_u32());
+          r.raw_crc = buf.get_u32();
+          r.stored_crc = buf.get_u32();
+          r.payload_offset = payload_cursor;
+          if (q == static_cast<std::size_t>(me)) {
+            my_offset = payload_cursor;
+          }
+          payload_cursor += r.stored_bytes;
+          round_stored += r.stored_bytes;
+          result.raw_bytes += r.raw_bytes;
+          result.stored_bytes += r.stored_bytes;
+          result.records.push_back(r);
+        }
+        if (round.item) {
+          obs::ScopedSpan write_span(rec, "delta.worker", "write", me, -1.0);
+          support::RetryPolicy policy;
+          policy.observer = rec;
+          policy.what = "delta.write";
+          support::retry_io(
+              [&] {
+                file.write_at(wire::kDeltaHeaderBytes + my_offset,
+                              encoded[round.slot].bytes());
+              },
+              policy);
+        }
+        return round_stored;
+      }};
+  run_rounds(ctx, array, nullptr, io_tasks, stages);
   return result;
 }
 
@@ -573,8 +478,6 @@ void ArrayStreamer::apply_delta_blocks(
     rt::TaskContext& ctx, DistArray& array, const StreamPlan& blocks,
     const std::vector<DeltaBlockRecord>& records, store::FileHandle file,
     int io_tasks) const {
-  DRMS_EXPECTS_MSG(io_tasks >= 1 && io_tasks <= ctx.size(),
-                   "io_tasks must be within the task group size");
   const std::size_t elem = array.elem_size();
   for (const auto& rec : records) {
     if (rec.block_index >= blocks.chunks.size() ||
@@ -587,112 +490,49 @@ void ArrayStreamer::apply_delta_blocks(
           "delta record does not match the array's block plan");
     }
   }
-  const std::vector<Slice> dst_mapped =
-      array.distribution().mapped_slices();
-  const int p = ctx.size();
   const int me = ctx.rank();
-  const std::size_t m = records.size();
-  const std::size_t rounds = (m + static_cast<std::size_t>(io_tasks) - 1) /
-                             static_cast<std::size_t>(io_tasks);
-  const Slice empty = Slice::empty_of_rank(array.global_box().rank());
-  LocalArray& my_local = array.local(me);
-
-  const double jitter_factor =
-      (jitter_ && storage_ != nullptr && storage_->charges_time())
-          ? ctx.shared_rng().jitter(storage_->cost_model()->jitter_sigma)
-          : 1.0;
-
-  std::array<LocalArray, 2> staging;
-  std::array<std::future<void>, 2> inflight;
-
-  // Read + verify + decode round r's block on a background worker, landing
-  // the raw bytes in the staging buffer — the decode overlaps the
-  // previous round's scatter exchange, mirroring read_section.
-  const auto start_read = [&](std::size_t r) {
-    const std::size_t b = r % 2;
-    const std::size_t i = r * static_cast<std::size_t>(io_tasks) +
-                          static_cast<std::size_t>(me);
-    if (me >= io_tasks || i >= m) {
-      staging[b] = LocalArray();
-      return;
-    }
-    const DeltaBlockRecord& rec = records[i];
-    staging[b] = LocalArray(
-        blocks.chunks[static_cast<std::size_t>(rec.block_index)], elem);
-    obs::Recorder* const obsrec = recorder_;
-    inflight[b] = std::async(
-        std::launch::async, [&file, rec, &staging, b, obsrec, me]() {
-          support::ByteBuffer stored;
-          {
-            obs::ScopedSpan read_span(obsrec, "delta.worker", "read", me,
-                                      -1.0);
-            file.read_at_into(
-                wire::kDeltaHeaderBytes + rec.payload_offset,
-                stored.append_uninitialized(
-                    static_cast<std::size_t>(rec.stored_bytes)));
-          }
-          obs::ScopedSpan decode_span(obsrec, "delta.worker", "decode", me,
-                                      -1.0);
-          if (support::crc32c(stored.bytes()) != rec.stored_crc) {
-            throw support::CorruptCheckpoint(
-                "delta block " + std::to_string(rec.block_index) +
-                ": stored CRC mismatch");
-          }
-          support::ByteBuffer raw;
-          support::block_decode(rec.codec, stored.bytes(), rec.raw_bytes,
-                                raw);
-          if (support::crc32c(raw.bytes()) != rec.raw_crc) {
-            throw support::CorruptCheckpoint(
-                "delta block " + std::to_string(rec.block_index) +
-                ": raw CRC mismatch");
-          }
-          std::memcpy(staging[b].bytes().data(), raw.data(), raw.size());
-        });
-  };
-
-  start_read(0);
-  for (std::size_t r = 0; r < rounds; ++r) {
-    std::vector<Slice> src_chunks(static_cast<std::size_t>(p), empty);
-    std::uint64_t round_stored = 0;
-    int readers = 0;
-    for (int q = 0; q < io_tasks; ++q) {
-      const std::size_t i = r * static_cast<std::size_t>(io_tasks) +
-                            static_cast<std::size_t>(q);
-      if (i >= m) {
-        break;
-      }
-      src_chunks[static_cast<std::size_t>(q)] =
-          blocks.chunks[static_cast<std::size_t>(records[i].block_index)];
-      round_stored += records[i].stored_bytes;
-      ++readers;
-    }
-
-    const std::size_t b = r % 2;
-    if (inflight[b].valid()) {
-      inflight[b].get();  // rethrows read/verify/decode errors
-    }
-    if (r + 1 < rounds) {
-      start_read(r + 1);  // overlaps this round's exchange below
-    }
-
-    obs::ScopedSpan exchange_span(
-        recorder_, "delta", "exchange", me, ctx.sim_time(),
-        {obs::Attr::num("round", static_cast<std::int64_t>(r)),
-         obs::Attr::str("dir", "read")});
-    exchange_sections(ctx, src_chunks,
-                      staging[b].element_count() > 0 ? &staging[b] : nullptr,
-                      dst_mapped,
-                      my_local.element_count() > 0 ? &my_local : nullptr,
-                      elem, recorder_);
-    exchange_span.end(ctx.sim_time());
-
-    if (storage_ != nullptr && storage_->charges_time()) {
-      ctx.charge(jitter_factor * storage_->stream_read_round_seconds(
-                                     round_stored, std::max(readers, 1),
-                                     load_, nullptr));
-    }
-    ctx.barrier();
-  }
+  obs::Recorder* const obsrec = recorder_;
+  const Stages stages{
+      "delta", records.size(),
+      [&](std::size_t i) -> const Slice& {
+        return blocks
+            .chunks[static_cast<std::size_t>(records[i].block_index)];
+      },
+      // Read, verify and decode the block, landing its raw bytes in
+      // staging: the decode overlaps the previous round's scatter.
+      [&](const Round& round, LocalArray& staging) {
+        const DeltaBlockRecord& rec = records[*round.item];
+        support::ByteBuffer stored;
+        {
+          obs::ScopedSpan read_span(obsrec, "delta.worker", "read", me, -1.0);
+          file.read_at_into(wire::kDeltaHeaderBytes + rec.payload_offset,
+                            stored.append_uninitialized(
+                                static_cast<std::size_t>(rec.stored_bytes)));
+        }
+        obs::ScopedSpan decode_span(obsrec, "delta.worker", "decode", me,
+                                    -1.0);
+        if (support::crc32c(stored.bytes()) != rec.stored_crc) {
+          throw support::CorruptCheckpoint(
+              "delta block " + std::to_string(rec.block_index) +
+              ": stored CRC mismatch");
+        }
+        support::ByteBuffer raw;
+        support::block_decode(rec.codec, stored.bytes(), rec.raw_bytes, raw);
+        if (support::crc32c(raw.bytes()) != rec.raw_crc) {
+          throw support::CorruptCheckpoint(
+              "delta block " + std::to_string(rec.block_index) +
+              ": raw CRC mismatch");
+        }
+        std::memcpy(staging.bytes().data(), raw.data(), raw.size());
+      },
+      [&](const Round& round, const LocalArray&) {
+        std::uint64_t stored = 0;
+        for (std::size_t i = round.first; i < round.first + round.count; ++i) {
+          stored += records[i].stored_bytes;
+        }
+        return stored;
+      }};
+  run_rounds(ctx, array, &array.local(me), io_tasks, stages);
 }
 
 std::uint64_t ArrayStreamer::write_section_sequential(
@@ -700,39 +540,19 @@ std::uint64_t ArrayStreamer::write_section_sequential(
     SequentialSink& sink) const {
   DRMS_EXPECTS_MSG(array.global_box().covers(x),
                    "section must lie within the array index space");
-  const std::size_t elem = array.elem_size();
-  const StreamPlan plan = make_stream_plan(x, elem, 1,
+  const StreamPlan plan = make_stream_plan(x, array.elem_size(), 1,
                                            target_chunk_bytes_);
-  const std::vector<Slice> src_assigned =
-      array.distribution().assigned_slices();
-  const int me = ctx.rank();
-  const Slice empty = Slice::empty_of_rank(x.rank());
-
-  const double jitter_factor =
-      (jitter_ && storage_ != nullptr && storage_->charges_time())
-          ? ctx.shared_rng().jitter(storage_->cost_model()->jitter_sigma)
-          : 1.0;
-
-  for (const Slice& chunk : plan.chunks) {
-    std::vector<Slice> dst_mapped(static_cast<std::size_t>(ctx.size()),
-                                  empty);
-    dst_mapped[0] = chunk;
-    LocalArray staging =
-        me == 0 ? LocalArray(chunk, elem) : LocalArray();
-    exchange_sections(ctx, src_assigned, &array.local(me), dst_mapped,
-                      me == 0 ? &staging : nullptr, elem);
-    if (me == 0) {
-      sink.write(staging.bytes());  // append-only: no seek ever issued
-    }
-    if (storage_ != nullptr && storage_->charges_time()) {
-      ctx.charge(jitter_factor *
-                 storage_->stream_write_round_seconds(
-                     static_cast<std::uint64_t>(chunk.element_count()) *
-                         elem,
-                     1, load_, nullptr));
-    }
-    ctx.barrier();
-  }
+  // No worker: task 0 appends in the landing step, on its own thread and
+  // in round order, so the channel sees the stream with no seek.
+  const Stages stages{
+      "stream", plan.chunk_count(), chunks_of(plan), {},
+      [&](const Round& round, const LocalArray& staging) {
+        if (round.item) {
+          sink.write(staging.bytes());
+        }
+        return round.raw_bytes;
+      }};
+  run_rounds(ctx, array, nullptr, 1, stages);
   return plan.total_bytes;
 }
 
@@ -741,42 +561,15 @@ std::uint64_t ArrayStreamer::read_section_sequential(
     SequentialSource& source) const {
   DRMS_EXPECTS_MSG(array.global_box().covers(x),
                    "section must lie within the array index space");
-  const std::size_t elem = array.elem_size();
-  const StreamPlan plan = make_stream_plan(x, elem, 1,
+  const StreamPlan plan = make_stream_plan(x, array.elem_size(), 1,
                                            target_chunk_bytes_);
-  const std::vector<Slice> dst_mapped =
-      array.distribution().mapped_slices();
-  const int me = ctx.rank();
-  const Slice empty = Slice::empty_of_rank(x.rank());
-  LocalArray& my_local = array.local(me);
-
-  const double jitter_factor =
-      (jitter_ && storage_ != nullptr && storage_->charges_time())
-          ? ctx.shared_rng().jitter(storage_->cost_model()->jitter_sigma)
-          : 1.0;
-
-  for (const Slice& chunk : plan.chunks) {
-    std::vector<Slice> src_chunks(static_cast<std::size_t>(ctx.size()),
-                                  empty);
-    src_chunks[0] = chunk;
-    LocalArray staging;
-    if (me == 0) {
-      staging = LocalArray(chunk, elem);
-      source.read(staging.bytes());
-    }
-    exchange_sections(ctx, src_chunks, me == 0 ? &staging : nullptr,
-                      dst_mapped,
-                      my_local.element_count() > 0 ? &my_local : nullptr,
-                      elem);
-    if (storage_ != nullptr && storage_->charges_time()) {
-      ctx.charge(jitter_factor *
-                 storage_->stream_read_round_seconds(
-                     static_cast<std::uint64_t>(chunk.element_count()) *
-                         elem,
-                     1, load_, nullptr));
-    }
-    ctx.barrier();
-  }
+  // Task 0's worker consumes the channel. A read round has at most one
+  // worker in flight, so the reads stay in stream order.
+  const Stages stages{
+      "stream", plan.chunk_count(), chunks_of(plan),
+      [&](const Round&, LocalArray& staging) { source.read(staging.bytes()); },
+      [](const Round& round, const LocalArray&) { return round.raw_bytes; }};
+  run_rounds(ctx, array, &array.local(ctx.rank()), 1, stages);
   return plan.total_bytes;
 }
 

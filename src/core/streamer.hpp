@@ -11,6 +11,14 @@
 // P = 1 degenerates to serial streaming: chunk offsets are consecutive,
 // so the writer only ever appends (no seek capability needed — the stream
 // could be a socket or tape, as the paper notes).
+//
+// Every entry point runs one round pipeline (streamer.cpp, run_rounds):
+// in round r, I/O task q carries item r*P + q (a chunk or a delta block)
+// through a background worker and a landing step that runs on every task
+// in round order. Writes gather round r and launch its worker before
+// landing round r-1; reads land round r and launch round r+1's read
+// before scattering r. The serial forms are the P = 1 case, with the
+// channel as the I/O stage.
 #pragma once
 
 #include <cstdint>
@@ -114,11 +122,12 @@ class ArrayStreamer {
   /// (starting at wire::kDeltaHeaderBytes), passing each block through
   /// the codec stage where write_section folds in the CRC: round r's
   /// blocks compress on a background worker while round r+1's exchange
-  /// runs, and land with a pipelined write once the round's stored sizes
-  /// have been agreed collectively (compressed sizes are data-dependent,
-  /// so offsets cannot be precomputed). The caller (engine) writes the
-  /// index and header afterwards. Simulated time is charged on STORED
-  /// bytes — the codec's win shows up in checkpoint time.
+  /// runs, and are written once the round's stored sizes have been agreed
+  /// collectively (compressed sizes are data-dependent, so offsets cannot
+  /// be precomputed), while round r+1's blocks compress. The caller
+  /// (engine) writes the index and header afterwards. Simulated time is
+  /// charged on STORED bytes — the codec's win shows up in checkpoint
+  /// time.
   DeltaWriteResult write_delta_blocks(rt::TaskContext& ctx,
                                       const DistArray& array,
                                       const StreamPlan& blocks,
@@ -137,6 +146,13 @@ class ArrayStreamer {
                           store::FileHandle file, int io_tasks) const;
 
  private:
+  struct Stages;
+  /// The one round pipeline behind every entry point (streamer.cpp):
+  /// `into` is the calling task's local array for a read (storage to
+  /// array), null for a write.
+  void run_rounds(rt::TaskContext& ctx, const DistArray& array,
+                  LocalArray* into, int io_tasks, const Stages& stages) const;
+
   /// May be null: no time accounting (pure data movement).
   const store::StorageBackend* storage_;
   sim::LoadContext load_;

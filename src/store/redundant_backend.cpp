@@ -22,6 +22,15 @@ std::uint64_t stable_hash(const std::string& name) {
   return h;
 }
 
+/// splitmix64's finalizer: every bit of the result depends on every bit
+/// of `h`. FNV-1a's high bits barely depend on a name's last bytes, so
+/// names that differ only in a trailing counter would share a rotation.
+std::uint64_t mix64(std::uint64_t h) {
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+  return h ^ (h >> 31);
+}
+
 /// Payload bytes of fragment `index` of a `total`-byte file. The last
 /// fragment is the parity, as long as the first (longest) data fragment.
 std::uint64_t payload_length(const RedundancyScheme& scheme,
@@ -243,9 +252,8 @@ int RedundantBackend::home_group_base(const std::string& name) const {
 }
 
 int RedundantBackend::rotation_of(const std::string& name) const {
-  return static_cast<int>(
-      (stable_hash(name) >> 32) %
-      static_cast<std::uint64_t>(scheme_.group_size));
+  return static_cast<int>(mix64(stable_hash(name)) %
+                          static_cast<std::uint64_t>(scheme_.group_size));
 }
 
 int RedundantBackend::pick_live_node(const std::string& name,

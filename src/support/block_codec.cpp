@@ -9,79 +9,6 @@ namespace drms::support {
 
 namespace {
 
-// ---- zero-RLE ------------------------------------------------------------
-//
-// Record stream: [u8 kind][u32 len] (+ len literal bytes when kind==1).
-// kind 0 is a run of `len` zero bytes. Runs shorter than the record
-// overhead stay inside the surrounding literal.
-
-constexpr std::size_t kZeroRunMin = 8;
-constexpr std::uint8_t kRleZeros = 0;
-constexpr std::uint8_t kRleLiteral = 1;
-
-void rle_put_literal(std::span<const std::byte> lit, ByteBuffer& out) {
-  if (lit.empty()) {
-    return;
-  }
-  out.put_u8(kRleLiteral);
-  out.put_u32(static_cast<std::uint32_t>(lit.size()));
-  out.append(lit);
-}
-
-void zero_rle_encode(std::span<const std::byte> raw, ByteBuffer& out) {
-  std::size_t lit_start = 0;
-  std::size_t i = 0;
-  while (i < raw.size()) {
-    if (raw[i] != std::byte{0}) {
-      ++i;
-      continue;
-    }
-    std::size_t run_end = i;
-    while (run_end < raw.size() && raw[run_end] == std::byte{0}) {
-      ++run_end;
-    }
-    if (run_end - i >= kZeroRunMin) {
-      rle_put_literal(raw.subspan(lit_start, i - lit_start), out);
-      out.put_u8(kRleZeros);
-      out.put_u32(static_cast<std::uint32_t>(run_end - i));
-      lit_start = run_end;
-    }
-    i = run_end;
-  }
-  rle_put_literal(raw.subspan(lit_start), out);
-}
-
-void zero_rle_decode(std::span<const std::byte> stored,
-                     std::uint64_t raw_bytes, ByteBuffer& out) {
-  ByteBuffer in(stored);
-  std::uint64_t produced = 0;
-  while (in.remaining() > 0) {
-    if (in.remaining() < 5) {
-      throw CorruptCheckpoint("zero_rle block ends inside a record header");
-    }
-    const std::uint8_t kind = in.get_u8();
-    const std::uint32_t len = in.get_u32();
-    if (produced + len > raw_bytes) {
-      throw CorruptCheckpoint("zero_rle block decodes past its raw size");
-    }
-    if (kind == kRleLiteral && in.remaining() < len) {
-      throw CorruptCheckpoint("zero_rle block ends inside a literal run");
-    }
-    std::span<std::byte> dst = out.append_uninitialized(len);
-    if (kind == kRleZeros) {
-      std::memset(dst.data(), 0, dst.size());
-    } else if (kind == kRleLiteral) {
-      in.read_raw(dst.data(), dst.size());
-    } else {
-      throw CorruptCheckpoint("zero_rle block has an unknown record kind");
-    }
-    produced += len;
-  }
-  if (produced != raw_bytes) {
-    throw CorruptCheckpoint("zero_rle block decodes short of its raw size");
-  }
-}
-
 // ---- LZ (byte-oriented LZSS) ---------------------------------------------
 //
 // Token stream: a control byte carries flags for the next 8 tokens
@@ -209,37 +136,19 @@ const char* to_string(BlockCodec codec) noexcept {
   switch (codec) {
     case BlockCodec::kRaw:
       return "raw";
-    case BlockCodec::kZeroRle:
-      return "zero_rle";
     case BlockCodec::kLz:
       return "lz";
   }
   return "unknown";
 }
 
-std::optional<BlockCodec> block_codec_from_name(
-    std::string_view name) noexcept {
-  if (name == "raw") {
-    return BlockCodec::kRaw;
-  }
-  if (name == "zero_rle") {
-    return BlockCodec::kZeroRle;
-  }
-  if (name == "lz") {
-    return BlockCodec::kLz;
-  }
-  return std::nullopt;
-}
-
 BlockCodec block_encode(BlockCodec requested, std::span<const std::byte> raw,
                         ByteBuffer& out) {
-  if (requested != BlockCodec::kRaw) {
+  DRMS_EXPECTS(requested == BlockCodec::kRaw ||
+               requested == BlockCodec::kLz);
+  if (requested == BlockCodec::kLz) {
     const std::size_t mark = out.size();
-    if (requested == BlockCodec::kZeroRle) {
-      zero_rle_encode(raw, out);
-    } else {
-      lz_encode(raw, out);
-    }
+    lz_encode(raw, out);
     if (out.size() - mark < raw.size()) {
       return requested;
     }
@@ -258,9 +167,6 @@ void block_decode(BlockCodec codec, std::span<const std::byte> stored,
         throw CorruptCheckpoint("raw block size does not match its raw size");
       }
       out.append(stored);
-      return;
-    case BlockCodec::kZeroRle:
-      zero_rle_decode(stored, raw_bytes, out);
       return;
     case BlockCodec::kLz:
       lz_decode(stored, raw_bytes, out);

@@ -2,13 +2,10 @@
 // dirty blocks inside the pipelined streamer pass, exactly where the CRC
 // already folds in, so compression overlaps exchange/I/O.
 //
-// Three codecs share one wire contract (decode(encode(x)) == x):
-//   kRaw      identity — the fallback every encoder degrades to when its
+// Two codecs share one wire contract (decode(encode(x)) == x):
+//   kRaw      identity — the fallback the encoder degrades to when its
 //             output would not be smaller than the input, so stored
 //             blocks never expand.
-//   kZeroRle  run-length encoding of zero bytes: solver state is full of
-//             zero-initialized halo/padding regions, and a zero run
-//             collapses to a 5-byte record.
 //   kLz       byte-oriented LZSS: control byte carrying 8 literal/match
 //             flags, matches are (u16 back-distance, u8 length-4) over a
 //             64 KiB window — cheap, portable, deterministic.
@@ -19,25 +16,20 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string_view>
 
 #include "support/byte_buffer.hpp"
 
 namespace drms::support {
 
+/// Id 1 belonged to a zero-run-length codec that compressed no real
+/// array; it stays reserved, and readers reject it as corrupt.
 enum class BlockCodec : std::uint8_t {
   kRaw = 0,
-  kZeroRle = 1,
   kLz = 2,
 };
 
 [[nodiscard]] const char* to_string(BlockCodec codec) noexcept;
-
-/// Parses the names printed by to_string ("raw", "zero_rle", "lz").
-[[nodiscard]] std::optional<BlockCodec> block_codec_from_name(
-    std::string_view name) noexcept;
 
 /// Encodes `raw` with the requested codec, appending to `out`, and
 /// returns the codec actually used: when the requested codec would not

@@ -16,7 +16,9 @@
 #include "core/drms_context.hpp"
 #include "core/streamer.hpp"
 #include "rt/task_group.hpp"
+#include "store/memory_backend.hpp"
 #include "support/block_codec.hpp"
+#include "support/crc32.hpp"
 #include "support/error.hpp"
 #include "test_helpers.hpp"
 
@@ -42,7 +44,7 @@ AppSegmentModel tiny_segment() {
 }
 
 /// Deterministic pseudo-random bytes (xorshift64*) — incompressible for
-/// both in-tree codecs.
+/// LZ.
 std::vector<std::byte> noise(std::size_t n, std::uint64_t seed) {
   std::vector<std::byte> out(n);
   std::uint64_t x = seed | 1;
@@ -56,7 +58,7 @@ std::vector<std::byte> noise(std::size_t n, std::uint64_t seed) {
 }
 
 /// Solver-like bytes: long zero runs (halo padding) interleaved with
-/// slowly varying doubles — compressible by both codecs.
+/// slowly varying doubles — compressible by LZ.
 std::vector<std::byte> solver_like(std::size_t n, std::uint64_t seed) {
   std::vector<std::byte> out(n, std::byte{0});
   std::uint64_t x = seed | 1;
@@ -89,17 +91,14 @@ std::vector<std::byte> round_trip(BlockCodec requested,
 
 TEST(DeltaCodec, AllZeroBlockCollapses) {
   const std::vector<std::byte> raw(64 * 1024, std::byte{0});
-  for (const BlockCodec codec :
-       {BlockCodec::kRaw, BlockCodec::kZeroRle, BlockCodec::kLz}) {
+  for (const BlockCodec codec : {BlockCodec::kRaw, BlockCodec::kLz}) {
     support::ByteBuffer stored;
     const BlockCodec used = support::block_encode(codec, raw, stored);
     if (codec != BlockCodec::kRaw) {
       EXPECT_EQ(used, codec) << support::to_string(codec);
-      // A 64 KiB zero block must collapse: zero-RLE to one record, LZ to
-      // one max-length match per ~260 bytes (its match length cap).
-      const std::size_t bound =
-          codec == BlockCodec::kZeroRle ? raw.size() / 1000 : raw.size() / 50;
-      EXPECT_LT(stored.size(), bound) << support::to_string(codec);
+      // A 64 KiB zero block must collapse: LZ to one max-length match per
+      // ~260 bytes (its match length cap).
+      EXPECT_LT(stored.size(), raw.size() / 50) << support::to_string(codec);
     }
     support::ByteBuffer decoded;
     support::block_decode(used, stored.bytes(), raw.size(), decoded);
@@ -109,29 +108,26 @@ TEST(DeltaCodec, AllZeroBlockCollapses) {
 
 TEST(DeltaCodec, IncompressibleFallsBackToRaw) {
   const std::vector<std::byte> raw = noise(32 * 1024, 0x5eed);
-  for (const BlockCodec codec : {BlockCodec::kZeroRle, BlockCodec::kLz}) {
-    support::ByteBuffer stored;
-    const BlockCodec used = support::block_encode(codec, raw, stored);
-    EXPECT_EQ(used, BlockCodec::kRaw) << support::to_string(codec);
-    // The raw fallback is a plain copy: stored blocks never expand.
-    EXPECT_EQ(stored.size(), raw.size());
-    support::ByteBuffer decoded;
-    support::block_decode(used, stored.bytes(), raw.size(), decoded);
-    EXPECT_TRUE(std::equal(raw.begin(), raw.end(), decoded.bytes().begin()));
-  }
+  support::ByteBuffer stored;
+  const BlockCodec used = support::block_encode(BlockCodec::kLz, raw, stored);
+  EXPECT_EQ(used, BlockCodec::kRaw);
+  // The raw fallback is a plain copy: stored blocks never expand.
+  EXPECT_EQ(stored.size(), raw.size());
+  support::ByteBuffer decoded;
+  support::block_decode(used, stored.bytes(), raw.size(), decoded);
+  EXPECT_TRUE(std::equal(raw.begin(), raw.end(), decoded.bytes().begin()));
 }
 
 TEST(DeltaCodec, RoundTripAtBoundarySizes) {
   // Sizes straddling the codecs' internal units: the LZ control-byte
-  // group (8), its minimum match (4), the zero-RLE record threshold, and
-  // block-boundary sizes around the default granularities.
+  // group (8), its minimum match (4), and block-boundary sizes around the
+  // default granularities.
   const std::size_t sizes[] = {1,    3,    7,     8,     9,     255,  256,
                                4095, 4096, 65535, 65536, 65537, 262144};
   for (const std::size_t n : sizes) {
     const std::vector<std::byte> compressible = solver_like(n, n);
     const std::vector<std::byte> incompressible = noise(n, n);
-    for (const BlockCodec codec :
-         {BlockCodec::kRaw, BlockCodec::kZeroRle, BlockCodec::kLz}) {
+    for (const BlockCodec codec : {BlockCodec::kRaw, BlockCodec::kLz}) {
       EXPECT_EQ(round_trip(codec, compressible), compressible)
           << support::to_string(codec) << " size " << n;
       EXPECT_EQ(round_trip(codec, incompressible), incompressible)
@@ -145,46 +141,65 @@ TEST(DeltaCodec, CrossCodecEquivalence) {
   // same raw block.
   const std::vector<std::byte> raw = solver_like(48 * 1024, 0xabcd);
   const std::vector<std::byte> via_raw = round_trip(BlockCodec::kRaw, raw);
-  const std::vector<std::byte> via_rle = round_trip(BlockCodec::kZeroRle, raw);
   const std::vector<std::byte> via_lz = round_trip(BlockCodec::kLz, raw);
   EXPECT_EQ(via_raw, raw);
-  EXPECT_EQ(via_rle, raw);
   EXPECT_EQ(via_lz, raw);
 }
 
 TEST(DeltaCodec, SolverLikeBlocksShrink) {
   const std::vector<std::byte> raw = solver_like(64 * 1024, 0x1234);
-  for (const BlockCodec codec : {BlockCodec::kZeroRle, BlockCodec::kLz}) {
-    support::ByteBuffer stored;
-    const BlockCodec used = support::block_encode(codec, raw, stored);
-    EXPECT_EQ(used, codec) << support::to_string(codec);
-    EXPECT_LT(stored.size(), raw.size()) << support::to_string(codec);
-  }
+  support::ByteBuffer stored;
+  EXPECT_EQ(support::block_encode(BlockCodec::kLz, raw, stored),
+            BlockCodec::kLz);
+  EXPECT_LT(stored.size(), raw.size());
 }
 
 TEST(DeltaCodec, TruncatedStoredBytesRejected) {
   const std::vector<std::byte> raw = solver_like(16 * 1024, 0x77);
-  for (const BlockCodec codec : {BlockCodec::kZeroRle, BlockCodec::kLz}) {
-    support::ByteBuffer stored;
-    const BlockCodec used = support::block_encode(codec, raw, stored);
-    ASSERT_EQ(used, codec);
-    const auto bytes = stored.bytes();
-    support::ByteBuffer decoded;
-    EXPECT_THROW(support::block_decode(codec, bytes.subspan(0, bytes.size() / 2),
-                                       raw.size(), decoded),
-                 support::CorruptCheckpoint)
-        << support::to_string(codec);
-  }
+  support::ByteBuffer stored;
+  ASSERT_EQ(support::block_encode(BlockCodec::kLz, raw, stored),
+            BlockCodec::kLz);
+  const auto bytes = stored.bytes();
+  support::ByteBuffer decoded;
+  EXPECT_THROW(support::block_decode(BlockCodec::kLz,
+                                     bytes.subspan(0, bytes.size() / 2),
+                                     raw.size(), decoded),
+               support::CorruptCheckpoint);
 }
 
-TEST(DeltaCodec, NameRoundTrip) {
-  for (const BlockCodec codec :
-       {BlockCodec::kRaw, BlockCodec::kZeroRle, BlockCodec::kLz}) {
-    const auto parsed = support::block_codec_from_name(support::to_string(codec));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, codec);
-  }
-  EXPECT_FALSE(support::block_codec_from_name("gzip").has_value());
+TEST(DeltaCodec, ReservedCodecIdOneIsRejected) {
+  // Id 1 was zero-RLE. A well-formed zero-RLE payload: one record, a run
+  // of 64 zero bytes ([u8 kind 0][u32 length]).
+  constexpr BlockCodec kReserved = static_cast<BlockCodec>(1);
+  support::ByteBuffer payload;
+  payload.put_u8(0);
+  payload.put_u32(64);
+  support::ByteBuffer decoded;
+  EXPECT_THROW(support::block_decode(kReserved, payload.bytes(), 64, decoded),
+               support::CorruptCheckpoint);
+
+  // A delta file whose one index record names codec 1 fails at the index.
+  DeltaBlockRecord rec;
+  rec.raw_bytes = 64;
+  rec.stored_bytes = payload.size();
+  rec.codec = kReserved;
+  rec.raw_crc = support::crc32c(std::vector<std::byte>(64, std::byte{0}));
+  rec.stored_crc = support::crc32c(payload.bytes());
+  DeltaFileHeader h;
+  h.block_bytes = 64;
+  h.total_blocks = 1;
+  h.record_count = 1;
+  h.payload_bytes = payload.size();
+  h.raw_bytes = 64;
+  h.index_offset = wire::kDeltaHeaderBytes + payload.size();
+  drms::store::MemoryBackend storage;
+  drms::store::FileHandle file = storage.create("d");
+  file.write_at(0, encode_delta_header(h).bytes());
+  file.write_at(wire::kDeltaHeaderBytes, payload.bytes());
+  file.write_at(h.index_offset, encode_delta_index({rec}).bytes());
+  const DeltaFileHeader read_back = read_delta_header(file, "d");
+  EXPECT_THROW((void)read_delta_index(file, read_back, "d"),
+               support::CorruptCheckpoint);
 }
 
 TEST(DeltaTracking, MutationLogDegradesToMarkAll) {

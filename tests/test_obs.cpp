@@ -511,6 +511,122 @@ TEST(ObsPipeline, NextRoundReadOpensBeforeExchangeCloses) {
   EXPECT_GE(overlapping_pairs, 2 * kTasks);
 }
 
+/// Delta blocks of a 16^3-double array at 2 tasks: 8 blocks of 4 KiB, all
+/// dirty, written by write_delta_blocks with the recorder `rec` (when
+/// non-null) into `file`; returns the index records.
+std::vector<core::DeltaBlockRecord> write_delta_for_pipeline(
+    store::FileHandle file, obs::Recorder* rec) {
+  constexpr int kTasks = 2;
+  constexpr Index kN = 16;
+  const core::StreamPlan blocks =
+      core::make_stream_plan(cube(kN), sizeof(double), 1, 4096);
+  std::vector<std::uint64_t> dirty(blocks.chunk_count());
+  for (std::size_t i = 0; i < dirty.size(); ++i) {
+    dirty[i] = i;
+  }
+  std::vector<core::DeltaBlockRecord> records;
+  TaskGroup group(placement_of(kTasks));
+  DistArray array("u", cube(kN), sizeof(double), kTasks);
+  const auto outcome = group.run([&](TaskContext& ctx) {
+    if (ctx.rank() == 0) {
+      array.install_distribution(DistSpec::block_auto(
+          cube(kN), kTasks, std::vector<Index>(3, 0)));
+    }
+    ctx.barrier();
+    fill_assigned_tagged(array, ctx.rank());
+    ctx.barrier();
+    const core::ArrayStreamer streamer(nullptr, {}, 4096, false, rec);
+    const auto res = streamer.write_delta_blocks(
+        ctx, array, blocks, dirty, file, kTasks, support::BlockCodec::kLz);
+    if (ctx.rank() == 0) {
+      records = res.records;
+    }
+  });
+  EXPECT_TRUE(outcome.completed) << outcome.kill_reason;
+  return records;
+}
+
+TEST(ObsPipeline, DeltaWriteExchangeOpensBeforeInflightEncodeCloses) {
+  store::MemoryBackend backend;
+  obs::Recorder rec;
+  (void)write_delta_for_pipeline(backend.create("delta.u"), &rec);
+
+  const auto spans = rec.spans();
+  int overlapping_pairs = 0;
+  for (const auto& inflight : spans) {
+    if (inflight.category != "delta" || inflight.name != "write_inflight") {
+      continue;
+    }
+    ASSERT_TRUE(inflight.closed);
+    for (const auto& exchange : spans) {
+      if (exchange.category == "delta" && exchange.name == "exchange" &&
+          exchange.rank == inflight.rank &&
+          attr_text(exchange, "dir") == "write" &&
+          exchange.attr_num("round") == inflight.attr_num("round") + 1) {
+        EXPECT_LT(exchange.begin_seq, inflight.end_seq)
+            << "rank " << inflight.rank << " round "
+            << inflight.attr_num("round");
+        ++overlapping_pairs;
+      }
+    }
+  }
+  // 8 blocks / 2 I/O tasks = 4 rounds: rounds 0..2 of each rank have a
+  // successor-round exchange.
+  EXPECT_GE(overlapping_pairs, 2 * 3);
+}
+
+TEST(ObsPipeline, DeltaApplyNextReadOpensBeforeExchangeCloses) {
+  constexpr int kTasks = 2;
+  constexpr Index kN = 16;
+  store::MemoryBackend backend;
+  const std::vector<core::DeltaBlockRecord> records =
+      write_delta_for_pipeline(backend.create("delta.u"), nullptr);
+  const core::StreamPlan blocks =
+      core::make_stream_plan(cube(kN), sizeof(double), 1, 4096);
+
+  obs::Recorder rec;
+  DistArray dst("u", cube(kN), sizeof(double), kTasks);
+  TaskGroup group(placement_of(kTasks));
+  const auto outcome = group.run([&](TaskContext& ctx) {
+    if (ctx.rank() == 0) {
+      dst.install_distribution(DistSpec::block_auto(
+          cube(kN), kTasks, std::vector<Index>(3, 0)));
+    }
+    ctx.barrier();
+    const core::ArrayStreamer streamer(nullptr, {}, 4096, false, &rec);
+    streamer.apply_delta_blocks(ctx, dst, blocks, records,
+                                backend.open("delta.u"), kTasks);
+    ctx.barrier();
+    EXPECT_EQ(count_mapped_mismatches(dst, ctx.rank()), 0);
+  });
+  ASSERT_TRUE(outcome.completed) << outcome.kill_reason;
+
+  // Round r+1's in-flight read and decode is launched before round r's
+  // scatter exchange closes.
+  const auto spans = rec.spans();
+  int overlapping_pairs = 0;
+  for (const auto& inflight : spans) {
+    if (inflight.category != "delta" || inflight.name != "read_inflight") {
+      continue;
+    }
+    const std::int64_t round = inflight.attr_num("round");
+    if (round == 0) {
+      continue;  // the first read has no predecessor exchange
+    }
+    for (const auto& exchange : spans) {
+      if (exchange.category == "delta" && exchange.name == "exchange" &&
+          exchange.rank == inflight.rank &&
+          attr_text(exchange, "dir") == "read" &&
+          exchange.attr_num("round") == round - 1) {
+        EXPECT_LT(inflight.begin_seq, exchange.end_seq)
+            << "rank " << inflight.rank << " round " << round;
+        ++overlapping_pairs;
+      }
+    }
+  }
+  EXPECT_GE(overlapping_pairs, 2 * 3);
+}
+
 // ---- Retry counters ---------------------------------------------------------
 
 TEST(ObsRetry, TransientRetryCountersMatchFaultSchedule) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -172,6 +173,41 @@ TEST(RedundantBackend, StagedFilesBehaveLikeAMemoryTier) {
   EXPECT_TRUE(storage.fragment_nodes_of("dir/a").empty());
   storage.remove("dir/a");
   EXPECT_FALSE(storage.exists("dir/a"));
+}
+
+TEST(RedundantBackend, StagedCopiesSpreadEvenlyOverNamesWithCounters) {
+  // Real names differ in trailing counters: filler files, and the 16 task
+  // files of each of 20 SPMD generations. Each name set must stage within
+  // 20% of an even share on every node, under both schemes.
+  std::vector<std::string> fills;
+  for (int k = 0; k < 400; ++k) {
+    fills.push_back("fill" + std::to_string(k));
+  }
+  std::vector<std::string> task_files;
+  for (int g = 1; g <= 20; ++g) {
+    std::string iteration = std::to_string(10 * g);
+    iteration.insert(0, 6 - iteration.size(), '0');
+    for (int r = 0; r < 16; ++r) {
+      task_files.push_back("sp.g" + iteration + ".spmd.task" +
+                           std::to_string(r));
+    }
+  }
+  for (const auto& scheme : {kXor4, kPartner}) {
+    for (const auto* names : {&fills, &task_files}) {
+      RedundantBackend storage(4, scheme);
+      std::vector<int> staged(4, 0);
+      for (const std::string& name : *names) {
+        storage.create(name).write_at(0, bytes_of("x"));
+        ++staged[static_cast<std::size_t>(storage.staged_node_of(name))];
+      }
+      const double even = static_cast<double>(names->size()) / 4.0;
+      for (int n = 0; n < 4; ++n) {
+        EXPECT_LE(std::abs(staged[static_cast<std::size_t>(n)] - even),
+                  0.2 * even)
+            << scheme.describe() << " " << names->front() << " node " << n;
+      }
+    }
+  }
 }
 
 TEST(RedundantBackend, EncodeFragmentsTheStagedCopy) {

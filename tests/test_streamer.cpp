@@ -3,13 +3,20 @@
 // property of serial streaming, and input streaming with scatter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <functional>
+#include <numeric>
+#include <string>
+#include <utility>
 
 #include "core/streamer.hpp"
 #include "support/crc32.hpp"
 #include "piofs/volume.hpp"
 #include "rt/task_group.hpp"
+#include "store/fault_injection_backend.hpp"
+#include "store/memory_backend.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -18,6 +25,7 @@ using namespace drms::core;
 using Volume = drms::test::TestVolume;
 using drms::rt::TaskContext;
 using drms::rt::TaskGroup;
+using drms::store::FileHandle;
 using drms::test::count_mapped_mismatches;
 using drms::test::cube;
 using drms::test::fill_assigned_tagged;
@@ -296,6 +304,189 @@ TEST(Streamer, ChargesSimulatedTimeWhenCostModelPresent) {
   });
   EXPECT_TRUE(result.completed);
   EXPECT_GT(result.sim_seconds, 0.0);
+}
+
+// ---- error paths of the round pipeline -------------------------------------
+//
+// Each pipelined operation runs at 3 tasks over 16 chunks or blocks (6
+// rounds). Failing any one of its storage operations, or corrupting a
+// stored delta block, must fail the group with that error and never hang;
+// under ASan this also catches a staging slot freed under its worker. An
+// injected crash kills the whole store, so the task that reports first
+// may report the lost store rather than the armed operation: both
+// messages name the injected crash.
+
+constexpr int kSweepTasks = 3;
+constexpr std::uint64_t kSweepChunk = 256;  // cube(8) doubles: 16 chunks
+
+using StreamOp = std::function<void(TaskContext&, DistArray&,
+                                    const ArrayStreamer&)>;
+
+drms::rt::TaskGroupResult run_stream_op(const StreamOp& op) {
+  const Slice box = cube(8);
+  TaskGroup group(placement_of(kSweepTasks));
+  DistArray array("u", box, sizeof(double), kSweepTasks);
+  return group.run([&](TaskContext& ctx) {
+    if (ctx.rank() == 0) {
+      array.install_distribution(DistSpec::block_auto(
+          box, kSweepTasks, std::vector<Index>(3, 0)));
+    }
+    ctx.barrier();
+    fill_assigned_tagged(array, ctx.rank());
+    ctx.barrier();
+    const ArrayStreamer streamer(nullptr, {}, kSweepChunk);
+    op(ctx, array, streamer);
+  });
+}
+
+/// The group failed, and some task's error message contains `what`.
+bool failed_with(const drms::rt::TaskGroupResult& result,
+                 const std::string& what) {
+  return !result.completed &&
+         std::any_of(result.errors.begin(), result.errors.end(),
+                     [&](const std::string& e) {
+                       return e.find(what) != std::string::npos;
+                     });
+}
+
+/// The delta block plan of cube(8) doubles, every block dirty.
+struct SweepBlocks {
+  StreamPlan plan = make_stream_plan(cube(8), sizeof(double), 1, kSweepChunk);
+  std::vector<std::uint64_t> dirty = [this] {
+    std::vector<std::uint64_t> all(plan.chunk_count());
+    std::iota(all.begin(), all.end(), 0);
+    return all;
+  }();
+};
+
+TEST(Streamer, EveryFailedPipelinedWriteFailsTheGroup) {
+  const SweepBlocks blocks;
+  using WriteOp = std::function<void(TaskContext&, DistArray&,
+                                     const ArrayStreamer&, FileHandle)>;
+  const std::vector<std::pair<std::string, WriteOp>> ops = {
+      {"write_section",
+       [](TaskContext& ctx, DistArray& a, const ArrayStreamer& s,
+          FileHandle f) {
+         s.write_section(ctx, a, a.global_box(), f, 0, kSweepTasks);
+       }},
+      {"write_delta_blocks",
+       [&](TaskContext& ctx, DistArray& a, const ArrayStreamer& s,
+           FileHandle f) {
+         (void)s.write_delta_blocks(ctx, a, blocks.plan, blocks.dirty, f,
+                                    kSweepTasks,
+                                    drms::support::BlockCodec::kLz);
+       }},
+  };
+  for (const auto& [name, op] : ops) {
+    std::uint64_t writes = 0;
+    {
+      drms::store::MemoryBackend inner;
+      drms::store::FaultInjectionBackend storage(inner);
+      const FileHandle file = storage.create("out");
+      const std::uint64_t before = storage.mutation_ops();
+      const auto clean = run_stream_op(
+          [&](TaskContext& ctx, DistArray& a, const ArrayStreamer& s) {
+            op(ctx, a, s, file);
+          });
+      ASSERT_TRUE(clean.completed) << name << ": " << clean.kill_reason;
+      writes = storage.mutation_ops() - before;
+    }
+    ASSERT_GE(writes, 16u) << name;
+    for (std::uint64_t k = 0; k < writes; ++k) {
+      drms::store::MemoryBackend inner;
+      drms::store::FaultInjectionBackend storage(inner);
+      const FileHandle file = storage.create("out");
+      storage.arm_crash(k);
+      const auto result = run_stream_op(
+          [&](TaskContext& ctx, DistArray& a, const ArrayStreamer& s) {
+            op(ctx, a, s, file);
+          });
+      EXPECT_TRUE(failed_with(result, "injected crash"))
+          << name << " write " << k << ": " << result.kill_reason;
+    }
+  }
+}
+
+TEST(Streamer, EveryFailedPipelinedReadFailsTheGroup) {
+  const SweepBlocks blocks;
+  drms::store::MemoryBackend inner;
+  std::vector<DeltaBlockRecord> records;
+  const auto written = run_stream_op(
+      [&](TaskContext& ctx, DistArray& a, const ArrayStreamer& s) {
+        if (ctx.rank() == 0) {
+          inner.create("full");
+          inner.create("delta");
+        }
+        ctx.barrier();
+        s.write_section(ctx, a, a.global_box(), inner.open("full"), 0,
+                        kSweepTasks);
+        const auto res = s.write_delta_blocks(
+            ctx, a, blocks.plan, blocks.dirty, inner.open("delta"),
+            kSweepTasks, drms::support::BlockCodec::kLz);
+        if (ctx.rank() == 0) {
+          records = res.records;
+        }
+      });
+  ASSERT_TRUE(written.completed) << written.kill_reason;
+
+  using ReadOp = std::function<void(TaskContext&, DistArray&,
+                                    const ArrayStreamer&,
+                                    const drms::store::StorageBackend&)>;
+  const std::vector<std::pair<std::string, ReadOp>> ops = {
+      {"read_section",
+       [](TaskContext& ctx, DistArray& a, const ArrayStreamer& s,
+          const drms::store::StorageBackend& storage) {
+         s.read_section(ctx, a, a.global_box(), storage.open("full"), 0,
+                        kSweepTasks);
+       }},
+      {"apply_delta_blocks",
+       [&](TaskContext& ctx, DistArray& a, const ArrayStreamer& s,
+           const drms::store::StorageBackend& storage) {
+         s.apply_delta_blocks(ctx, a, blocks.plan, records,
+                              storage.open("delta"), kSweepTasks);
+       }},
+  };
+  for (const auto& [name, op] : ops) {
+    std::uint64_t reads = 0;
+    {
+      drms::store::FaultInjectionBackend storage(inner);
+      const auto clean = run_stream_op(
+          [&](TaskContext& ctx, DistArray& a, const ArrayStreamer& s) {
+            op(ctx, a, s, storage);
+          });
+      ASSERT_TRUE(clean.completed) << name << ": " << clean.kill_reason;
+      reads = storage.read_ops();
+    }
+    ASSERT_GE(reads, 16u) << name;
+    for (std::uint64_t k = 0; k < reads; ++k) {
+      drms::store::FaultInjectionBackend storage(inner);
+      storage.arm_read_crash(k);
+      const auto result = run_stream_op(
+          [&](TaskContext& ctx, DistArray& a, const ArrayStreamer& s) {
+            op(ctx, a, s, storage);
+          });
+      EXPECT_TRUE(failed_with(result, "injected crash"))
+          << name << " read " << k << ": " << result.kill_reason;
+    }
+  }
+
+  // One flipped byte in the middle block's stored payload.
+  const DeltaBlockRecord& victim = records[records.size() / 2];
+  FileHandle delta = inner.open("delta");
+  const std::uint64_t at = wire::kDeltaHeaderBytes + victim.payload_offset +
+                           victim.stored_bytes / 2;
+  std::vector<std::byte> byte = delta.read_at(at, 1);
+  byte[0] ^= std::byte{0x10};
+  delta.write_at(at, byte);
+  const auto corrupt = run_stream_op(
+      [&](TaskContext& ctx, DistArray& a, const ArrayStreamer& s) {
+        s.apply_delta_blocks(ctx, a, blocks.plan, records, inner.open("delta"),
+                             kSweepTasks);
+      });
+  EXPECT_TRUE(failed_with(corrupt, "delta block " +
+                                       std::to_string(victim.block_index) +
+                                       ": stored CRC mismatch"))
+      << corrupt.kill_reason;
 }
 
 }  // namespace
