@@ -10,6 +10,9 @@
 //   exchange     one exchange_sections round across an 8-task group
 //   checkpoint   full DrmsCheckpoint write / restore against the memory
 //                backend (null cost model: pure host data plane)
+//   codec        kLz encode and decode of one SP stream chunk of
+//                solver-shaped doubles (incompressible: the encoder's
+//                skip path) and of a compressible block, with the ratio
 //
 // All numbers are HOST wall-clock GB/s — the simulated-time tables are
 // untouched by definition (this bench charges no simulated seconds). A
@@ -21,6 +24,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,7 +37,9 @@
 #include "obs/trace_export.hpp"
 #include "rt/task_group.hpp"
 #include "sim/machine.hpp"
+#include "solver_field.hpp"
 #include "store/memory_backend.hpp"
+#include "support/block_codec.hpp"
 #include "support/crc32.hpp"
 #include "support/table.hpp"
 #include "support/units.hpp"
@@ -207,6 +213,62 @@ PlainResult bench_gather_sp_chunk(int reps) {
       time_per_call(reps, [&] { local.extract(piece, stream); });
   r.gb_per_s = gbps(r.bytes_per_call, per_call);
   return r;
+}
+
+struct CodecResult {
+  std::string name;
+  std::uint64_t bytes_per_call = 0;
+  double encode_gb_per_s = 0.0;
+  double decode_gb_per_s = 0.0;
+  double ratio = 0.0;  // raw over stored bytes
+};
+
+/// kLz both ways over one block, GB/s of raw bytes.
+CodecResult bench_codec(std::string name, std::span<const std::byte> block,
+                        int reps) {
+  support::ByteBuffer stored;
+  support::BlockCodec used = support::BlockCodec::kRaw;
+  const double encode = time_per_call(reps, [&] {
+    stored.clear();
+    used = support::block_encode(support::BlockCodec::kLz, block, stored);
+  });
+  support::ByteBuffer decoded;
+  const double decode = time_per_call(reps, [&] {
+    decoded.clear();
+    support::block_decode(used, stored.bytes(), block.size(), decoded);
+  });
+  CodecResult r;
+  r.name = std::move(name);
+  r.bytes_per_call = block.size();
+  r.encode_gb_per_s = gbps(block.size(), encode);
+  r.decode_gb_per_s = gbps(block.size(), decode);
+  r.ratio = static_cast<double>(block.size()) /
+            static_cast<double>(stored.size());
+  return r;
+}
+
+/// The codec on the first stream chunk (640 KiB under a 1 MiB target) of
+/// an SP-shaped array of solver-shaped doubles one step after their
+/// initial values (no match: the encoder's skip path), and on a
+/// compressible block of the same size: those values rounded to float
+/// precision, whose low mantissa bytes are zero.
+std::vector<CodecResult> bench_codec_blocks(int reps) {
+  const core::Slice box = core::Slice::box(
+      std::vector<core::Index>{0, 0, 0, 0},
+      std::vector<core::Index>{4, 63, 63, 63});
+  const core::StreamPlan plan =
+      core::make_stream_plan(box, sizeof(double), 2, support::kMiB);
+  std::vector<double> chunk;
+  std::vector<double> rounded;
+  plan.chunks.front().for_each_column_major(
+      [&](std::span<const core::Index> p) {
+        chunk.push_back(bench::solver_value(0, p, 0.37e-6));
+        rounded.push_back(static_cast<float>(chunk.back()));
+      });
+  return {bench_codec("lz SP stream chunk",
+                      std::as_bytes(std::span<const double>(chunk)), reps),
+          bench_codec("lz float-precision chunk",
+                      std::as_bytes(std::span<const double>(rounded)), reps)};
 }
 
 /// One parallel-write exchange round on an 8-task group: block-distributed
@@ -412,7 +474,8 @@ void trace_checkpoint(const std::string& path) {
 
 void write_json(const std::string& path, std::uint64_t crc_buffer_bytes,
                 const std::vector<CrcResult>& crc,
-                const std::vector<PlainResult>& rest) {
+                const std::vector<PlainResult>& rest,
+                const std::vector<CodecResult>& codec) {
   std::ofstream out(path);
   bench::JsonWriter json(out);
   json.begin_object();
@@ -436,6 +499,17 @@ void write_json(const std::string& path, std::uint64_t crc_buffer_bytes,
     json.field("name", r.name);
     json.field("bytes_per_call", r.bytes_per_call);
     json.field("gb_per_s", r.gb_per_s);
+    json.end_object();
+  }
+  json.end_array();
+  json.begin_array("codec");
+  for (const auto& r : codec) {
+    json.begin_object();
+    json.field("name", r.name);
+    json.field("bytes_per_call", r.bytes_per_call);
+    json.field("encode_gb_per_s", r.encode_gb_per_s);
+    json.field("decode_gb_per_s", r.decode_gb_per_s);
+    json.field("ratio", r.ratio);
     json.end_object();
   }
   json.end_array();
@@ -469,6 +543,7 @@ int main(int argc, char** argv) {
   for (auto& r : bench_checkpoint(quick ? 4 : 16)) {
     rest.push_back(r);
   }
+  const std::vector<CodecResult> codec = bench_codec_blocks(data_reps);
 
   support::TextTable table({"Stage", "GB/s", "vs bytewise"});
   for (const auto& r : crc) {
@@ -481,9 +556,17 @@ int main(int argc, char** argv) {
   for (const auto& r : rest) {
     table.add_row({r.name, fmt_gbps(r.gb_per_s), ""});
   }
+  table.add_rule();
+  for (const auto& r : codec) {
+    const std::string ratio = " (" + fmt_gbps(r.ratio) + "x)";
+    table.add_row({r.name + " encode" + ratio, fmt_gbps(r.encode_gb_per_s),
+                   ""});
+    table.add_row({r.name + " decode" + ratio, fmt_gbps(r.decode_gb_per_s),
+                   ""});
+  }
   table.print(std::cout);
 
-  write_json("BENCH_dataplane.json", crc_buffer_bytes, crc, rest);
+  write_json("BENCH_dataplane.json", crc_buffer_bytes, crc, rest, codec);
   std::cout << "\nwrote BENCH_dataplane.json\n";
   if (trace) {
     trace_checkpoint("TRACE_dataplane.json");

@@ -9,6 +9,11 @@
 
 namespace drms::core {
 
+namespace {
+/// One index record: four u64 fields, then the codec id and two CRCs.
+constexpr std::uint64_t kDeltaRecordBytes = 4 * 8 + 3 * 4;
+}  // namespace
+
 support::ByteBuffer encode_delta_header(const DeltaFileHeader& header) {
   support::ByteBuffer out;
   out.put_u32(wire::kDeltaMagic);
@@ -64,7 +69,7 @@ DeltaFileHeader read_delta_header(const store::FileHandle& file,
   h.payload_bytes = buf.get_u64();
   h.raw_bytes = buf.get_u64();
   h.index_offset = buf.get_u64();
-  if (h.block_bytes == 0 ||
+  if (h.block_bytes == 0 || h.payload_bytes > file.size() ||
       h.index_offset != wire::kDeltaHeaderBytes + h.payload_bytes ||
       h.index_offset > file.size()) {
     throw support::CorruptCheckpoint(what + ": inconsistent delta header");
@@ -96,8 +101,13 @@ std::vector<DeltaBlockRecord> read_delta_index(const store::FileHandle& file,
                                      ": delta index count disagrees with "
                                      "the header");
   }
+  // Reserve only for records the body actually holds.
+  if (count > body.remaining() / kDeltaRecordBytes) {
+    throw support::CorruptCheckpoint(what +
+                                     ": delta index count exceeds its body");
+  }
   std::vector<DeltaBlockRecord> records;
-  records.reserve(count);
+  records.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     DeltaBlockRecord r;
     r.block_index = body.get_u64();
@@ -113,8 +123,18 @@ std::vector<DeltaBlockRecord> read_delta_index(const store::FileHandle& file,
     r.raw_crc = body.get_u32();
     r.stored_crc = body.get_u32();
     if (r.block_index >= header.total_blocks ||
-        r.payload_offset + r.stored_bytes > header.payload_bytes) {
+        r.stored_bytes > header.payload_bytes ||
+        r.payload_offset > header.payload_bytes - r.stored_bytes) {
       throw support::CorruptCheckpoint(what + ": delta record out of bounds");
+    }
+    // A block is never empty nor larger than the block target, a raw
+    // block stores its raw bytes, and an encoded one is smaller.
+    if (r.raw_bytes == 0 || r.raw_bytes > header.block_bytes ||
+        (r.codec == support::BlockCodec::kRaw
+             ? r.stored_bytes != r.raw_bytes
+             : r.stored_bytes >= r.raw_bytes)) {
+      throw support::CorruptCheckpoint(what +
+                                       ": delta record sizes are invalid");
     }
     records.push_back(r);
   }
@@ -205,25 +225,36 @@ bool verify_delta_file(const store::StorageBackend& storage,
     return false;
   }
   if (deep) {
+    // One read and one CRC per raw block; an encoded block is decoded
+    // too. Both buffers are reused across blocks.
+    support::ByteBuffer stored;
+    support::ByteBuffer raw;
     for (const auto& r : records) {
-      const support::ByteBuffer stored = store::read_to_buffer(
-          file, wire::kDeltaHeaderBytes + r.payload_offset, r.stored_bytes);
-      if (support::crc32c(stored.bytes()) != r.stored_crc) {
-        problems.push_back(name + ": block " +
-                           std::to_string(r.block_index) +
-                           " stored CRC mismatch");
+      const auto mismatch = [&](const char* what) {
+        problems.push_back(name + ": block " + std::to_string(r.block_index) +
+                           what);
+      };
+      stored.clear();
+      file.read_at_into(wire::kDeltaHeaderBytes + r.payload_offset,
+                        stored.append_uninitialized(
+                            static_cast<std::size_t>(r.stored_bytes)));
+      std::uint32_t crc = support::crc32c(stored.bytes());
+      if (crc != r.stored_crc) {
+        mismatch(" stored CRC mismatch");
         continue;
       }
-      try {
-        support::ByteBuffer raw;
-        support::block_decode(r.codec, stored.bytes(), r.raw_bytes, raw);
-        if (support::crc32c(raw.bytes()) != r.raw_crc) {
-          problems.push_back(name + ": block " +
-                             std::to_string(r.block_index) +
-                             " raw CRC mismatch");
+      if (r.codec != support::BlockCodec::kRaw) {
+        raw.clear();
+        try {
+          support::block_decode(r.codec, stored.bytes(), r.raw_bytes, raw);
+        } catch (const support::Error& e) {
+          problems.push_back(e.what());
+          continue;
         }
-      } catch (const support::Error& e) {
-        problems.push_back(e.what());
+        crc = support::crc32c(raw.bytes());
+      }
+      if (crc != r.raw_crc) {
+        mismatch(" raw CRC mismatch");
       }
     }
   }

@@ -6,6 +6,8 @@
 //   gen.delta.<name> — [64-byte header][payload blocks][framed index]
 //     header   magic "DDLT", version, block_bytes, total_blocks,
 //              record_count, payload_bytes, raw_bytes, index_offset.
+//              Version 2: kLz blocks hold LZ4-style sequences; version 1
+//              files (LZSS tokens) are rejected.
 //              Written LAST (the payload and index land first), so a
 //              torn write leaves a file the reader rejects outright.
 //     payload  the dirty blocks' bytes, each run through the block codec
@@ -32,7 +34,7 @@ namespace drms::core {
 
 namespace wire {
 inline constexpr std::uint32_t kDeltaMagic = 0x44444c54;  // "DDLT"
-inline constexpr std::uint32_t kDeltaVersion = 1;
+inline constexpr std::uint32_t kDeltaVersion = 2;
 inline constexpr std::uint64_t kDeltaHeaderBytes = 64;
 /// Safety bound on base-link walks: a longer chain is corrupt (cyclic or
 /// runaway), not a plausible retention policy.

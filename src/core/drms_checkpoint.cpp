@@ -85,6 +85,10 @@ DeltaLink open_delta_link(const store::StorageBackend& storage,
   DeltaLink d{storage.open(file_name), {}, {}};
   const DeltaFileHeader header = read_delta_header(d.file, file_name);
   d.records = read_delta_index(d.file, header, file_name);
+  if (header.block_bytes < array.elem_size()) {
+    throw support::CorruptCheckpoint(
+        file_name + ": block target is smaller than one element");
+  }
   d.blocks = make_stream_plan(array.global_box(), array.elem_size(), 1,
                               header.block_bytes);
   if (d.blocks.chunk_count() != header.total_blocks) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <functional>
 #include <future>
 #include <optional>
@@ -387,12 +386,14 @@ ArrayStreamer::DeltaWriteResult ArrayStreamer::write_delta_blocks(
   obs::Recorder* const rec = recorder_;
   DeltaWriteResult result;
 
-  /// Codec-stage output of one staging slot; the encoded bytes land in
-  /// the slot's `encoded` buffer, which keeps its capacity across rounds.
+  /// Codec-stage output of one staging slot. An encoded block lands in
+  /// the slot's `encoded` buffer, which keeps its capacity across rounds;
+  /// a block the codec cannot shrink is stored from staging as it is.
   struct Compressed {
     std::uint32_t raw_crc = 0;
     std::uint32_t stored_crc = 0;
     support::BlockCodec used = support::BlockCodec::kRaw;
+    std::span<const std::byte> stored;
   };
   std::array<Compressed, 2> compressed{};
   std::array<support::ByteBuffer, 2> encoded;
@@ -406,15 +407,25 @@ ArrayStreamer::DeltaWriteResult ArrayStreamer::write_delta_blocks(
       [&](const Round& round, LocalArray& staging) {
         const auto raw = std::as_const(staging).bytes();
         Compressed& out = compressed[round.slot];
-        support::ByteBuffer& enc = encoded[round.slot];
-        enc.clear();
         {
           obs::ScopedSpan crc_span(rec, "delta.worker", "crc", me, -1.0);
           out.raw_crc = support::crc32c(raw);
         }
         obs::ScopedSpan encode_span(rec, "delta.worker", "encode", me, -1.0);
-        out.used = support::block_encode(codec, raw, enc);
-        out.stored_crc = support::crc32c(enc.bytes());
+        support::ByteBuffer& enc = encoded[round.slot];
+        enc.resize_uninitialized(raw.size());
+        const std::size_t size = support::block_compress(
+            codec, raw, std::span<std::byte>(enc.data(), raw.size()));
+        if (size == 0) {
+          // Stored raw: the stored bytes are the raw bytes, CRC included.
+          out.used = support::BlockCodec::kRaw;
+          out.stored = raw;
+          out.stored_crc = out.raw_crc;
+          return;
+        }
+        out.used = codec;
+        out.stored = std::span<const std::byte>(enc.data(), size);
+        out.stored_crc = support::crc32c(out.stored);
       },
       // Compressed sizes are data-dependent, so payload offsets cannot be
       // precomputed: agree on the round's stored sizes (an all_gather in
@@ -426,7 +437,7 @@ ArrayStreamer::DeltaWriteResult ArrayStreamer::write_delta_blocks(
         contribution.put_bool(round.item.has_value());
         if (round.item) {
           contribution.put_u64(staging.byte_size());
-          contribution.put_u64(encoded[round.slot].size());
+          contribution.put_u64(mine.stored.size());
           contribution.put_u32(static_cast<std::uint32_t>(mine.used));
           contribution.put_u32(mine.raw_crc);
           contribution.put_u32(mine.stored_crc);
@@ -464,7 +475,7 @@ ArrayStreamer::DeltaWriteResult ArrayStreamer::write_delta_blocks(
           support::retry_io(
               [&] {
                 file.write_at(wire::kDeltaHeaderBytes + my_offset,
-                              encoded[round.slot].bytes());
+                              mine.stored);
               },
               policy);
         }
@@ -492,6 +503,7 @@ void ArrayStreamer::apply_delta_blocks(
   }
   const int me = ctx.rank();
   obs::Recorder* const obsrec = recorder_;
+  std::array<support::ByteBuffer, 2> reads;  // encoded blocks, per slot
   const Stages stages{
       "delta", records.size(),
       [&](std::size_t i) -> const Slice& {
@@ -499,31 +511,42 @@ void ArrayStreamer::apply_delta_blocks(
             .chunks[static_cast<std::size_t>(records[i].block_index)];
       },
       // Read, verify and decode the block, landing its raw bytes in
-      // staging: the decode overlaps the previous round's scatter.
+      // staging: the decode overlaps the previous round's scatter. A raw
+      // block is read straight into staging and checked by one CRC (the
+      // index guarantees its stored size is its raw size); an encoded one
+      // is read into the slot's buffer and decoded into staging.
       [&](const Round& round, LocalArray& staging) {
         const DeltaBlockRecord& rec = records[*round.item];
-        support::ByteBuffer stored;
+        const std::span<std::byte> raw = staging.bytes();
+        const bool encoded = rec.codec != support::BlockCodec::kRaw;
+        std::span<std::byte> stored = raw;
+        if (encoded) {
+          support::ByteBuffer& buf = reads[round.slot];
+          buf.resize_uninitialized(static_cast<std::size_t>(rec.stored_bytes));
+          stored = std::span<std::byte>(buf.data(), buf.size());
+        }
         {
           obs::ScopedSpan read_span(obsrec, "delta.worker", "read", me, -1.0);
           file.read_at_into(wire::kDeltaHeaderBytes + rec.payload_offset,
-                            stored.append_uninitialized(
-                                static_cast<std::size_t>(rec.stored_bytes)));
+                            stored);
         }
         obs::ScopedSpan decode_span(obsrec, "delta.worker", "decode", me,
                                     -1.0);
-        if (support::crc32c(stored.bytes()) != rec.stored_crc) {
+        std::uint32_t crc = support::crc32c(stored);
+        if (crc != rec.stored_crc) {
           throw support::CorruptCheckpoint(
               "delta block " + std::to_string(rec.block_index) +
               ": stored CRC mismatch");
         }
-        support::ByteBuffer raw;
-        support::block_decode(rec.codec, stored.bytes(), rec.raw_bytes, raw);
-        if (support::crc32c(raw.bytes()) != rec.raw_crc) {
+        if (encoded) {
+          support::block_decode(rec.codec, stored, raw);
+          crc = support::crc32c(raw);
+        }
+        if (crc != rec.raw_crc) {
           throw support::CorruptCheckpoint(
               "delta block " + std::to_string(rec.block_index) +
               ": raw CRC mismatch");
         }
-        std::memcpy(staging.bytes().data(), raw.data(), raw.size());
       },
       [&](const Round& round, const LocalArray&) {
         std::uint64_t stored = 0;

@@ -1,12 +1,17 @@
 // Tests for block-level delta generations: the block codecs (known-answer
-// + property tests mirroring the CRC suite), the runtime dirty tracking,
-// the chained write/restore path, and the chain-aware catalog (GC keeps a
-// base alive while a kept delta depends on it; fsck reports a delta whose
-// base is gone as torn).
+// + property tests mirroring the CRC suite, and seeded mutations of real
+// streams), the delta file's header and index checks, the runtime dirty
+// tracking, the chained write/restore path, and the chain-aware catalog
+// (GC keeps a base alive while a kept delta depends on it; fsck reports a
+// delta whose base is gone as torn).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstring>
+#include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -89,6 +94,74 @@ std::vector<std::byte> round_trip(BlockCodec requested,
   return {span.begin(), span.end()};
 }
 
+/// A slowly varying field sampled in quarter steps: long runs of equal
+/// doubles, as a coarse smooth solution has.
+std::vector<std::byte> smooth_field(std::size_t doubles) {
+  std::vector<double> v(doubles);
+  for (std::size_t i = 0; i < doubles; ++i) {
+    v[i] = 0.25 * std::floor(16.0 * std::sin(static_cast<double>(i) * 1e-3));
+  }
+  const auto bytes = std::as_bytes(std::span<const double>(v));
+  return {bytes.begin(), bytes.end()};
+}
+
+std::vector<std::byte> to_bytes(std::initializer_list<int> values) {
+  std::vector<std::byte> out;
+  for (const int v : values) {
+    out.push_back(static_cast<std::byte>(v));
+  }
+  return out;
+}
+
+/// Writes a delta file: header, payload, then `index` (a framed index).
+drms::store::FileHandle write_delta_file(drms::store::StorageBackend& storage,
+                                         const std::string& name,
+                                         const DeltaFileHeader& header,
+                                         std::span<const std::byte> payload,
+                                         std::span<const std::byte> index) {
+  drms::store::FileHandle file = storage.create(name);
+  file.write_at(0, encode_delta_header(header).bytes());
+  file.write_at(wire::kDeltaHeaderBytes, payload);
+  file.write_at(header.index_offset, index);
+  return file;
+}
+
+/// A framed index whose body holds `count`, then `records` — CRC and
+/// size consistent however many records `count` claims.
+support::ByteBuffer framed_index(std::uint64_t count,
+                                 const std::vector<DeltaBlockRecord>& records) {
+  support::ByteBuffer full = encode_delta_index(records);
+  // Re-frame the body with its count field replaced.
+  support::ByteBuffer body;
+  body.put_u64(count);
+  body.append(full.bytes().subspan(4 + 8 + 8));
+  support::ByteBuffer out;
+  out.put_u32(support::crc32c(body.bytes()));
+  out.put_u64(body.size());
+  out.append(body.bytes());
+  return out;
+}
+
+/// One 64-byte raw block and the header of a file that stores only it.
+struct OneBlockDelta {
+  std::vector<std::byte> payload = noise(64, 0x64);
+  DeltaBlockRecord record;
+  DeltaFileHeader header;
+
+  OneBlockDelta() {
+    record.raw_bytes = payload.size();
+    record.stored_bytes = payload.size();
+    record.raw_crc = support::crc32c(payload);
+    record.stored_crc = record.raw_crc;
+    header.block_bytes = payload.size();
+    header.total_blocks = 1;
+    header.record_count = 1;
+    header.payload_bytes = payload.size();
+    header.raw_bytes = payload.size();
+    header.index_offset = wire::kDeltaHeaderBytes + payload.size();
+  }
+};
+
 TEST(DeltaCodec, AllZeroBlockCollapses) {
   const std::vector<std::byte> raw(64 * 1024, std::byte{0});
   for (const BlockCodec codec : {BlockCodec::kRaw, BlockCodec::kLz}) {
@@ -96,8 +169,8 @@ TEST(DeltaCodec, AllZeroBlockCollapses) {
     const BlockCodec used = support::block_encode(codec, raw, stored);
     if (codec != BlockCodec::kRaw) {
       EXPECT_EQ(used, codec) << support::to_string(codec);
-      // A 64 KiB zero block must collapse: LZ to one max-length match per
-      // ~260 bytes (its match length cap).
+      // A 64 KiB zero block must collapse: LZ stores it as one literal
+      // and one offset-1 match whose length runs on in bytes of 255.
       EXPECT_LT(stored.size(), raw.size() / 50) << support::to_string(codec);
     }
     support::ByteBuffer decoded;
@@ -193,13 +266,309 @@ TEST(DeltaCodec, ReservedCodecIdOneIsRejected) {
   h.raw_bytes = 64;
   h.index_offset = wire::kDeltaHeaderBytes + payload.size();
   drms::store::MemoryBackend storage;
-  drms::store::FileHandle file = storage.create("d");
-  file.write_at(0, encode_delta_header(h).bytes());
-  file.write_at(wire::kDeltaHeaderBytes, payload.bytes());
-  file.write_at(h.index_offset, encode_delta_index({rec}).bytes());
+  const drms::store::FileHandle file = write_delta_file(
+      storage, "d", h, payload.bytes(), encode_delta_index({rec}).bytes());
   const DeltaFileHeader read_back = read_delta_header(file, "d");
   EXPECT_THROW((void)read_delta_index(file, read_back, "d"),
                support::CorruptCheckpoint);
+}
+
+TEST(DeltaCodec, KnownAnswerBytes) {
+  // The exact kLz stream of two small inputs, so a change of the format
+  // or of the encoder's choices fails here. 20 letters repeated, then 6
+  // more: one sequence of 20 literals (nibble 15 + byte 5) and a 20-byte
+  // match 20 back (nibble 15 + byte 1), then the last 6 literals.
+  std::vector<std::byte> letters;
+  for (int round = 0; round < 2; ++round) {
+    for (char ch = 'a'; ch <= 't'; ++ch) {
+      letters.push_back(static_cast<std::byte>(ch));
+    }
+  }
+  for (const char ch : std::string("uvwxyz")) {
+    letters.push_back(static_cast<std::byte>(ch));
+  }
+  std::vector<std::byte> expected = to_bytes({0xff, 0x05});
+  expected.insert(expected.end(), letters.begin(), letters.begin() + 20);
+  for (const std::byte b : to_bytes({0x14, 0x00, 0x01, 0x60})) {
+    expected.push_back(b);
+  }
+  expected.insert(expected.end(), letters.end() - 6, letters.end());
+  // 32 zero bytes: one literal, an offset-1 match of 26 (nibble 15 + byte
+  // 7) that overlaps its own output, and the last 5 bytes as literals.
+  const std::vector<std::byte> zeros(32, std::byte{0});
+  const std::vector<std::byte> zeros_expected = to_bytes(
+      {0x1f, 0x00, 0x01, 0x00, 0x07, 0x50, 0x00, 0x00, 0x00, 0x00, 0x00});
+
+  for (const auto& [raw, want] :
+       {std::pair{letters, expected}, std::pair{zeros, zeros_expected}}) {
+    support::ByteBuffer stored;
+    ASSERT_EQ(support::block_encode(BlockCodec::kLz, raw, stored),
+              BlockCodec::kLz);
+    EXPECT_EQ(std::vector<std::byte>(stored.bytes().begin(),
+                                     stored.bytes().end()),
+              want);
+    EXPECT_EQ(round_trip(BlockCodec::kLz, raw), raw);
+  }
+}
+
+TEST(DeltaCodec, MutatedStreamsDecodeOrThrowTyped) {
+  // Seeded mutations of real kLz streams. Each input must decode to
+  // exactly the raw size it is given or throw CorruptCheckpoint: any
+  // other exception (a bad_alloc from sizing the output by an unchecked
+  // raw size, a contract violation) fails the test, and the asan_gate
+  // build turns an out-of-bounds copy into a report.
+  struct Seed {
+    std::vector<std::byte> stored;
+    std::uint64_t raw_bytes = 0;
+  };
+  std::vector<Seed> corpus;
+  const auto add = [&](const std::vector<std::byte>& raw) {
+    support::ByteBuffer stored;
+    if (support::block_encode(BlockCodec::kLz, raw, stored) ==
+        BlockCodec::kLz) {
+      corpus.push_back({{stored.bytes().begin(), stored.bytes().end()},
+                        raw.size()});
+    }
+  };
+  add(std::vector<std::byte>(64 * 1024, std::byte{0}));
+  for (const std::size_t n : {255, 256, 4095, 4096, 65535, 65536, 65537,
+                              262144}) {
+    add(solver_like(n, n));
+  }
+  add(smooth_field(4096));
+  ASSERT_EQ(corpus.size(), 10u);
+
+  std::uint64_t decoded = 0;
+  std::uint64_t rejected = 0;
+  const auto check = [&](std::span<const std::byte> stored,
+                         std::uint64_t raw_bytes) {
+    support::ByteBuffer out;
+    try {
+      support::block_decode(BlockCodec::kLz, stored, raw_bytes, out);
+    } catch (const support::CorruptCheckpoint&) {
+      ++rejected;
+      // A stored byte decodes to at most 255 raw bytes: past that, the
+      // output must not have been sized at all.
+      if (raw_bytes > 255 * std::uint64_t{stored.size()}) {
+        EXPECT_EQ(out.size(), 0u) << "sized before the raw size was checked";
+      }
+      return;
+    }
+    ++decoded;
+    EXPECT_EQ(out.size(), raw_bytes);
+  };
+
+  std::mt19937_64 rng(0x6c7a6d7574);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  for (const Seed& seed : corpus) {
+    const std::vector<std::byte>& s = seed.stored;
+    const std::uint64_t raw = seed.raw_bytes;
+    check(s, raw);
+    // Truncation: every prefix of short streams, a stride of long ones.
+    const std::size_t stride = s.size() <= 16 * 1024 ? 1 : 61;
+    for (std::size_t len = 0; len < s.size(); len += stride) {
+      check(std::span(s).first(len), raw);
+    }
+    // Wrong raw sizes, up to one no block could expand to.
+    for (const std::uint64_t wrong :
+         {std::uint64_t{0}, raw - 1, raw + 1, 2 * raw,
+          std::uint64_t{1} << 40}) {
+      check(s, wrong);
+    }
+    for (int k = 0; k < 120; ++k) {
+      std::vector<std::byte> m = s;
+      switch (k % 6) {
+        case 0:  // flip one bit
+          m[pick(m.size())] ^= static_cast<std::byte>(1u << pick(8));
+          break;
+        case 1:
+          m[pick(m.size())] = std::byte{0x00};
+          break;
+        case 2:
+          m[pick(m.size())] = std::byte{0xff};
+          break;
+        case 3:
+          m[pick(m.size())] = static_cast<std::byte>(rng());
+          break;
+        case 4: {  // a run of 0xFF: lengths that run on
+          const std::size_t at = pick(m.size());
+          m.insert(m.begin() + static_cast<std::ptrdiff_t>(at),
+                   1 + pick(600), std::byte{0xff});
+          break;
+        }
+        default: {  // the head of this stream on the tail of another
+          const std::vector<std::byte>& other =
+              corpus[pick(corpus.size())].stored;
+          m.resize(pick(m.size()));
+          m.insert(m.end(),
+                   other.begin() +
+                       static_cast<std::ptrdiff_t>(pick(other.size())),
+                   other.end());
+          break;
+        }
+      }
+      check(m, raw);
+    }
+  }
+  // Both outcomes occur: the mutations reach past the first checks.
+  EXPECT_GT(decoded, 100u);
+  EXPECT_GT(rejected, 1000u);
+}
+
+TEST(DeltaFormat, VersionOneFilesAreRejected) {
+  // Version 1 held LZSS tokens under the same codec id: a reader must
+  // refuse the file, not misdecode its blocks.
+  const OneBlockDelta d;
+  drms::store::MemoryBackend storage;
+  drms::store::FileHandle file =
+      write_delta_file(storage, "d", d.header, d.payload,
+                       encode_delta_index({d.record}).bytes());
+  std::vector<std::string> problems;
+  ASSERT_TRUE(verify_delta_file(storage, "d", file.size(), true, problems));
+  support::ByteBuffer version;
+  version.put_u32(1);
+  file.write_at(4, version.bytes());
+  EXPECT_THROW((void)read_delta_header(file, "d"), support::CorruptCheckpoint);
+  EXPECT_FALSE(verify_delta_file(storage, "d", file.size(), false, problems));
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find("unsupported delta version"), std::string::npos)
+      << problems[0];
+}
+
+TEST(DeltaFormat, IndexCountBeyondItsBodyIsRejected) {
+  // A CRC-consistent index whose header and body agree on a count far
+  // beyond the records present: no reservation sized from it.
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 26}) {
+    OneBlockDelta d;
+    d.header.record_count = count;
+    drms::store::MemoryBackend storage;
+    const drms::store::FileHandle file =
+        write_delta_file(storage, "d", d.header, d.payload,
+                         framed_index(count, {d.record}).bytes());
+    const DeltaFileHeader h = read_delta_header(file, "d");
+    EXPECT_THROW((void)read_delta_index(file, h, "d"),
+                 support::CorruptCheckpoint)
+        << count;
+  }
+}
+
+TEST(DeltaFormat, RecordRawSizeOutsideTheBlockTargetIsRejected) {
+  for (const std::uint64_t raw_bytes : {std::uint64_t{0}, std::uint64_t{65}}) {
+    OneBlockDelta d;
+    d.record.raw_bytes = raw_bytes;
+    drms::store::MemoryBackend storage;
+    const drms::store::FileHandle file =
+        write_delta_file(storage, "d", d.header, d.payload,
+                         encode_delta_index({d.record}).bytes());
+    const DeltaFileHeader h = read_delta_header(file, "d");
+    EXPECT_THROW((void)read_delta_index(file, h, "d"),
+                 support::CorruptCheckpoint)
+        << raw_bytes;
+  }
+}
+
+TEST(DeltaFormat, RawAndEncodedBlocksReadBackAndVerify) {
+  // Tagged values (LZ shrinks them) in the z < 4 half of an 8^3 array,
+  // large random integers (stored raw) in the rest, in 512-byte blocks.
+  // Restore and deep verify take both kinds, and catch a flipped byte in
+  // a raw block, which they check by one CRC.
+  constexpr int kTasks = 2;
+  const Slice box = cube(kN);
+  const StreamPlan plan = make_stream_plan(box, sizeof(double), 1, 512);
+  std::vector<std::uint64_t> dirty(plan.chunk_count());
+  std::iota(dirty.begin(), dirty.end(), 0);
+  const auto value = [](std::span<const Index> p) {
+    if (p[2] < kN / 2) {
+      return tag_of(p);
+    }
+    std::uint64_t x =
+        static_cast<std::uint64_t>(tag_of(p)) * 0x9e3779b97f4a7c15ull;
+    x ^= x >> 29;
+    return static_cast<double>(x);
+  };
+  drms::store::MemoryBackend storage;
+  drms::store::FileHandle file = storage.create("d");
+  std::vector<DeltaBlockRecord> records;
+  const auto run = [&](bool write) {
+    DistArray array("u", box, sizeof(double), kTasks);
+    TaskGroup group(placement_of(kTasks));
+    return group.run([&](TaskContext& ctx) {
+      if (ctx.rank() == 0) {
+        array.install_distribution(
+            DistSpec::block_auto(box, kTasks, std::vector<Index>(3, 0)));
+      }
+      ctx.barrier();
+      const ArrayStreamer streamer(nullptr, {});
+      LocalArray& local = array.local(ctx.rank());
+      const Slice& mine = array.distribution().assigned(ctx.rank());
+      if (write) {
+        mine.for_each_column_major(
+            [&](std::span<const Index> p) { local.set_f64(p, value(p)); });
+        ctx.barrier();
+        auto res = streamer.write_delta_blocks(ctx, array, plan, dirty, file,
+                                               kTasks, BlockCodec::kLz);
+        if (ctx.rank() == 0) {
+          records = std::move(res.records);
+        }
+        return;
+      }
+      streamer.apply_delta_blocks(ctx, array, plan, records, file, kTasks);
+      mine.for_each_column_major([&](std::span<const Index> p) {
+        EXPECT_EQ(local.get_f64(p), value(p));
+      });
+    });
+  };
+  ASSERT_TRUE(run(true).completed);
+  const auto stored_as = [&](BlockCodec codec) {
+    return std::find_if(records.begin(), records.end(),
+                        [&](const DeltaBlockRecord& r) {
+                          return r.codec == codec;
+                        });
+  };
+  ASSERT_NE(stored_as(BlockCodec::kLz), records.end());
+  const auto raw_block = stored_as(BlockCodec::kRaw);
+  ASSERT_NE(raw_block, records.end());
+  EXPECT_EQ(raw_block->stored_crc, raw_block->raw_crc);
+  EXPECT_TRUE(run(false).completed);
+
+  DeltaFileHeader h;
+  h.block_bytes = 512;
+  h.total_blocks = plan.chunk_count();
+  h.record_count = records.size();
+  for (const DeltaBlockRecord& r : records) {
+    h.payload_bytes += r.stored_bytes;
+    h.raw_bytes += r.raw_bytes;
+  }
+  h.index_offset = wire::kDeltaHeaderBytes + h.payload_bytes;
+  file.write_at(0, encode_delta_header(h).bytes());
+  file.write_at(h.index_offset, encode_delta_index(records).bytes());
+  std::vector<std::string> problems;
+  EXPECT_TRUE(verify_delta_file(storage, "d", file.size(), true, problems));
+
+  const std::uint64_t at =
+      wire::kDeltaHeaderBytes + raw_block->payload_offset + 3;
+  std::vector<std::byte> byte = file.read_at(at, 1);
+  byte[0] ^= std::byte{0x01};
+  file.write_at(at, byte);
+  const std::string mismatch =
+      "block " + std::to_string(raw_block->block_index) +
+      " stored CRC mismatch";
+  EXPECT_FALSE(verify_delta_file(storage, "d", file.size(), true, problems));
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find(mismatch), std::string::npos) << problems[0];
+  const auto corrupt = run(false);
+  ASSERT_FALSE(corrupt.completed);
+  EXPECT_TRUE(std::any_of(corrupt.errors.begin(), corrupt.errors.end(),
+                          [&](const std::string& e) {
+                            return e.find("delta block " +
+                                          std::to_string(
+                                              raw_block->block_index) +
+                                          ": stored CRC mismatch") !=
+                                   std::string::npos;
+                          }));
 }
 
 TEST(DeltaTracking, MutationLogDegradesToMarkAll) {
@@ -423,6 +792,38 @@ TEST(DeltaChain, RestartFromChainTipIsExactAcrossTaskCounts) {
   ASSERT_EQ(tip->meta.chain_depth, 3);
   const double resumed = run_app(volume, 6, true, tip->prefix);
   EXPECT_EQ(resumed, reference);
+}
+
+TEST(DeltaChain, BlockTargetBelowOneElementIsCorrupt) {
+  // The never-written array's delta holds no records, so only the
+  // header's block target, set below one double, is wrong: the restart
+  // must fail typed, not trip the block planner's precondition.
+  Volume volume(16);
+  {
+    DrmsProgram program("dc", delta_env(volume, 4), tiny_segment(), 4);
+    TaskGroup group(placement_of(4));
+    ASSERT_TRUE(group
+                    .run([&](TaskContext& ctx) {
+                      DeltaApp::run(program, ctx, 9, "dc");
+                    })
+                    .completed);
+  }
+  auto file = volume.backend().open(delta_array_file_name("dc.g8", "cold"));
+  ASSERT_EQ(read_delta_index(file, read_delta_header(file, "cold"), "cold")
+                .size(),
+            0u);
+  support::ByteBuffer block_bytes;
+  block_bytes.put_u64(4);
+  file.write_at(8, block_bytes.bytes());  // after magic and version
+  DrmsProgram restarted("dc", delta_env(volume, 4, "dc.g8"), tiny_segment(),
+                        4);
+  TaskGroup group(placement_of(4));
+  const auto result = group.run(
+      [&](TaskContext& ctx) { DeltaApp::run(restarted, ctx, 9, "dc"); });
+  ASSERT_FALSE(result.completed);
+  EXPECT_NE(result.kill_reason.find("block target is smaller than one element"),
+            std::string::npos)
+      << result.kill_reason;
 }
 
 TEST(DeltaChain, DeepVerifyWalksChainAndCatchesCorruption) {
