@@ -28,11 +28,6 @@
 // recovers WITHOUT manual intervention to the failure-free field
 // fingerprint, and emits BENCH_recovery.json with the per-phase MTTR
 // breakdown (detect / select / verify / reconfigure / resume).
-//
-// `--fleet [--quick]` runs the discrete-event fleet simulator
-// (arch::simulate_fleet) on one harsh exponential regime and prints
-// fixed vs adaptive intervals across DRMS vs SPMD — informational here;
-// the gated comparison lives in bench_adaptive.
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
@@ -46,7 +41,6 @@
 
 #include "apps/solver.hpp"
 #include "arch/cluster.hpp"
-#include "arch/fleet.hpp"
 #include "core/checkpoint_format.hpp"
 #include "json_writer.hpp"
 #include "obs/instrumented_backend.hpp"
@@ -56,7 +50,6 @@
 #include "recovery/reconfig_policy.hpp"
 #include "recovery/supervisor.hpp"
 #include "sim/cost_model.hpp"
-#include "sim/failure_trace.hpp"
 #include "rt/task_group.hpp"
 #include "store/fault_injection_backend.hpp"
 #include "store/memory_backend.hpp"
@@ -959,7 +952,6 @@ int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << "                 (the dilation table)\n"
       << "       " << argv0 << " --chaos [count] [base_seed]\n"
-      << "       " << argv0 << " --fleet [--quick]\n"
       << "Unknown flags and malformed numeric arguments are errors.\n";
   return 2;
 }
@@ -994,56 +986,6 @@ bool parse_u64_strict(const char* arg, std::uint64_t* out) {
   return true;
 }
 
-/// Informational fleet mode: one harsh exponential regime, the four
-/// (interval policy x restart mode) corners.
-int fleet_table(bool quick) {
-  namespace arch = drms::arch;
-  namespace sim = drms::sim;
-  arch::FleetOptions base;
-  base.jobs = quick ? 8 : 24;
-  base.nodes_per_job = quick ? 32 : 96;
-  base.work_hours = quick ? 60.0 : 400.0;
-  // Harsh: per-job MTBF of a few hours, so the paper's fixed 1 h
-  // interval is far from Young/Daly optimal.
-  const double mtbf_hours = 100.0;
-  const sim::FailureTrace trace = sim::FailureTrace::exponential(
-      /*seed=*/0xF1EE7, base.total_nodes(), mtbf_hours,
-      /*horizon=*/base.work_hours * 5.0);
-  std::cout << "Fleet DES (" << base.total_nodes() << " nodes, "
-            << base.jobs << " jobs x " << base.nodes_per_job
-            << " nodes, per-node MTBF " << mtbf_hours
-            << " h, exponential trace, " << trace.failure_count()
-            << " failures):\n\n";
-  drms::support::TextTable table(
-      {"mode", "interval", "mean efficiency", "failures", "checkpoints",
-       "queue wait", "mean final interval"});
-  for (const arch::FleetMode mode :
-       {arch::FleetMode::kDrms, arch::FleetMode::kSpmd}) {
-    for (const arch::IntervalPolicy policy :
-         {arch::IntervalPolicy::kFixed, arch::IntervalPolicy::kAdaptive}) {
-      arch::FleetOptions opts = base;
-      opts.mode = mode;
-      opts.policy = policy;
-      const arch::FleetResult r = arch::simulate_fleet(opts, trace);
-      double wait = 0.0;
-      for (const arch::FleetJobStats& j : r.jobs) {
-        wait += j.queue_wait_hours;
-      }
-      table.add_row(
-          {mode == arch::FleetMode::kDrms ? "drms" : "spmd",
-           policy == arch::IntervalPolicy::kFixed ? "fixed" : "adaptive",
-           format_fixed(r.mean_efficiency, 4),
-           std::to_string(r.failures_total),
-           std::to_string(r.checkpoints_total),
-           format_fixed(wait, 2) + " h",
-           format_fixed(r.mean_final_interval_hours, 2) + " h"});
-    }
-  }
-  table.print(std::cout);
-  std::cout << "\n(gated comparison: bench_adaptive / BENCH_adaptive.json)\n";
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1064,17 +1006,6 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
     return chaos::run_campaign(count, base_seed);
-  }
-  if (cmd == "--fleet") {
-    bool quick = false;
-    for (int i = 2; i < argc; ++i) {
-      if (std::string(argv[i]) == "--quick") {
-        quick = true;
-      } else {
-        return usage(argv[0]);
-      }
-    }
-    return fleet_table(quick);
   }
   return usage(argv[0]);
 }

@@ -4,19 +4,19 @@
 // storage backend (memory / piofs / tiered). Two schedulings of the SAME
 // submission stream are compared:
 //
-//   serialized   shard_count=1, fifo_only — every tenant funnels through
-//                one class-blind queue (the pre-service drain model: one
-//                volume lock, one background sweep)
-//   sharded      shard_count=4 with priority classes — independent jobs
-//                land on independent server queues
+//   serialized   shard_count=1 — every tenant funnels through one server
+//                queue (the pre-service drain model: one volume lock, one
+//                background sweep)
+//   sharded      shard_count=4 — independent jobs land on independent
+//                server queues
 //
 // All quantities come from the scheduler's DETERMINISTIC virtual-time
-// queueing model (each shard advances a virtual clock by the cost-model
-// service seconds of the items it dequeues): aggregate throughput is
-// total bytes over makespan, queue waits are virtual-start minus
-// virtual-submit. Reproducible across runs and machines, and unaffected
-// by host core count — which is the point, since wall-clock speedups are
-// meaningless on a single-core CI box.
+// queueing model (each shard prices the items it dequeues at their
+// cost-model service seconds): aggregate throughput is total bytes over
+// makespan, queue waits are virtual start minus arrival. Reproducible
+// across runs and machines, and unaffected by host core count — which is
+// the point, since wall-clock speedups are meaningless on a single-core
+// CI box.
 //
 // A second experiment queues RESTORE-class reads against a backlog of
 // DRAIN-class tier traffic (the tiered scenario drains real dirty files
@@ -97,10 +97,17 @@ std::unique_ptr<Rig> make_rig(const std::string& kind) {
 }
 
 /// Queue every job's checkpoint writes (real bytes, cost-model service
-/// seconds) and return the virtual makespan once the queue runs dry.
-double run_write_storm(IoScheduler& scheduler, store::StorageBackend& storage,
+/// seconds) on a fresh `kind` rig behind `shards` server queues and
+/// return the virtual makespan once the queue runs dry.
+double run_write_storm(const std::string& kind, int shards,
                        int items_per_job) {
+  auto rig = make_rig(kind);
+  store::StorageBackend& storage = *rig->storage;
   const std::vector<std::byte> payload(kBytesPerItem, std::byte{0x5d});
+  IoScheduler::Options opts;
+  opts.shard_count = shards;
+  IoScheduler scheduler(opts);
+  scheduler.pause();
   std::vector<JobToken> jobs;
   jobs.reserve(kJobs);
   for (int j = 0; j < kJobs; ++j) {
@@ -143,10 +150,9 @@ double percentile(std::vector<double> samples, double p) {
 double restore_p99(Rig& rig, int items_per_job, bool with_drains) {
   IoScheduler::Options opts;
   opts.shard_count = 4;
-  opts.start_paused = true;
-  opts.force_async = true;
   opts.keep_wait_samples = true;
   IoScheduler scheduler(opts);
+  scheduler.pause();
 
   // State to restore, created synchronously before anything queues.
   const std::vector<std::byte> payload(kBytesPerItem, std::byte{0x3c});
@@ -221,27 +227,8 @@ ScenarioResult run_scenario(const std::string& kind, int items_per_job) {
   ScenarioResult result;
   result.backend = kind;
 
-  {
-    auto rig = make_rig(kind);
-    IoScheduler::Options opts;
-    opts.shard_count = 1;
-    opts.fifo_only = true;
-    opts.start_paused = true;
-    opts.force_async = true;
-    IoScheduler serialized(opts);
-    result.serialized_makespan =
-        run_write_storm(serialized, *rig->storage, items_per_job);
-  }
-  {
-    auto rig = make_rig(kind);
-    IoScheduler::Options opts;
-    opts.shard_count = kJobs;
-    opts.start_paused = true;
-    opts.force_async = true;
-    IoScheduler sharded(opts);
-    result.sharded_makespan =
-        run_write_storm(sharded, *rig->storage, items_per_job);
-  }
+  result.serialized_makespan = run_write_storm(kind, 1, items_per_job);
+  result.sharded_makespan = run_write_storm(kind, kJobs, items_per_job);
   result.speedup = result.sharded_makespan > 0.0
                        ? result.serialized_makespan / result.sharded_makespan
                        : 0.0;

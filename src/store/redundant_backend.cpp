@@ -5,31 +5,11 @@
 
 #include "store/chunk_copy.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 
 namespace drms::store {
 
 namespace {
-
-/// FNV-1a: placement must be a stable pure function of the file name
-/// (std::hash is implementation-defined and would make fragment layout —
-/// and the tests pinning it — differ across standard libraries).
-std::uint64_t stable_hash(const std::string& name) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : name) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-/// splitmix64's finalizer: every bit of the result depends on every bit
-/// of `h`. FNV-1a's high bits barely depend on a name's last bytes, so
-/// names that differ only in a trailing counter would share a rotation.
-std::uint64_t mix64(std::uint64_t h) {
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-  return h ^ (h >> 31);
-}
 
 /// Payload bytes of fragment `index` of a `total`-byte file. The last
 /// fragment is the parity, as long as the first (longest) data fragment.
@@ -244,15 +224,20 @@ void RedundantBackend::drop_rec(const std::string& name) {
   recs_.erase(name);
 }
 
+// Placement is a stable pure function of the file name, so fragment
+// layout (and the tests pinning it) is the same on every platform.
 int RedundantBackend::home_group_base(const std::string& name) const {
   const int groups = node_count() / scheme_.group_size;
-  return static_cast<int>(stable_hash(name) %
+  return static_cast<int>(support::fnv1a(name) %
                           static_cast<std::uint64_t>(groups)) *
          scheme_.group_size;
 }
 
+// FNV-1a's high bits barely depend on a name's last bytes, so names that
+// differ only in a trailing counter would share a rotation without the
+// finalizer.
 int RedundantBackend::rotation_of(const std::string& name) const {
-  return static_cast<int>(mix64(stable_hash(name)) %
+  return static_cast<int>(support::mix64(support::fnv1a(name)) %
                           static_cast<std::uint64_t>(scheme_.group_size));
 }
 

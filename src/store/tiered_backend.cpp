@@ -108,9 +108,8 @@ class TieredBackend::TieredFileObject final : public FileObject {
   std::shared_ptr<Entry> entry_;
 };
 
-TieredBackend::TieredBackend(StorageBackend& fast, StorageBackend& slow,
-                             TieredOptions options)
-    : fast_(fast), slow_(slow), options_(options) {}
+TieredBackend::TieredBackend(StorageBackend& fast, StorageBackend& slow)
+    : fast_(fast), slow_(slow) {}
 
 std::shared_ptr<TieredBackend::Entry> TieredBackend::find_entry(
     const std::string& name, bool create_missing) const {
@@ -239,8 +238,8 @@ int TieredBackend::remove_prefix(const std::string& prefix) {
       remove(name);
       ++removed;
     } catch (const support::IoError&) {
-      // Vanished between list() and remove() (concurrent drain eviction /
-      // GC); MemoryBackend quietly skips these too.
+      // Vanished between list() and remove() (concurrent GC);
+      // MemoryBackend quietly skips these too.
     }
   }
   return removed;
@@ -349,10 +348,6 @@ std::optional<std::uint64_t> TieredBackend::drain_file(
   const std::uint64_t copied = copy_to_slow_locked(name);
   entry->in_slow = true;
   entry->dirty = false;
-  if (options_.evict_fast_after_drain) {
-    fast_.remove(name);
-    entry->in_fast = false;
-  }
   drained_bytes_.fetch_add(copied);
   return copied;
 }

@@ -32,18 +32,11 @@
 
 namespace drms::store {
 
-struct TieredOptions {
-  /// Drop the fast copy once drained (frees fast capacity; restarts then
-  /// read the slow tier). Default keeps it for fast restarts.
-  bool evict_fast_after_drain = false;
-};
-
 class TieredBackend final : public StorageBackend {
  public:
   /// Borrows both tiers; they must outlive the backend. The slow tier is
   /// authoritative for server_count and the cost model's ambient knobs.
-  TieredBackend(StorageBackend& fast, StorageBackend& slow,
-                TieredOptions options = {});
+  TieredBackend(StorageBackend& fast, StorageBackend& slow);
 
   TieredBackend(const TieredBackend&) = delete;
   TieredBackend& operator=(const TieredBackend&) = delete;
@@ -119,10 +112,10 @@ class TieredBackend final : public StorageBackend {
   };
   /// Snapshot of the dirty fast-tier files (the drain work list).
   [[nodiscard]] std::vector<DrainItem> drain_work() const;
-  /// Drain a single file: copy fast -> slow under the entry lock, mark it
-  /// clean, honour evict_fast_after_drain. Returns the bytes copied, or
-  /// nullopt when the file was already clean, spilled, or removed
-  /// meanwhile (callers race benignly with writers and GC).
+  /// Drain a single file: copy fast -> slow under the entry lock and mark
+  /// it clean; the fast copy stays for fast restarts. Returns the bytes
+  /// copied, or nullopt when the file was already clean, spilled, or
+  /// removed meanwhile (callers race benignly with writers and GC).
   std::optional<std::uint64_t> drain_file(const std::string& name);
   /// Modeled background write time of draining `bytes` to the slow tier
   /// (never charged to the application's clock).
@@ -179,7 +172,6 @@ class TieredBackend final : public StorageBackend {
 
   StorageBackend& fast_;
   StorageBackend& slow_;
-  TieredOptions options_;
   mutable std::mutex mutex_;  // guards entries_ (the map, not the files)
   mutable std::map<std::string, std::shared_ptr<Entry>> entries_;
   std::atomic<std::uint64_t> fast_bytes_committed_{0};

@@ -4,24 +4,15 @@
 #include <cmath>
 #include <numbers>
 
+#include "support/hash.hpp"
+
 namespace drms::support {
-
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t& x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t sm = seed;
   for (auto& s : s_) {
-    s = splitmix64(sm);
+    sm += 0x9e3779b97f4a7c15ull;  // splitmix64
+    s = mix64(sm);
   }
 }
 

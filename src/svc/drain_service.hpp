@@ -6,6 +6,8 @@
 // remaining backlog entirely until recovery finishes.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -16,38 +18,6 @@
 
 namespace drms::svc {
 
-/// Handle for one submitted drain. wait() blocks until every queued file
-/// copy finished and returns the aggregate report (same shape as the
-/// synchronous TieredBackend::drain()).
-class DrainTicket {
- public:
-  DrainTicket() = default;
-  [[nodiscard]] store::TieredBackend::DrainReport wait() const;
-  /// Files queued by this drain (0 = backlog was already clean).
-  [[nodiscard]] std::size_t files_submitted() const {
-    return completions_.size();
-  }
-
- private:
-  friend DrainTicket submit_drain(IoScheduler&, const JobToken&,
-                                  store::TieredBackend&,
-                                  const sim::LoadContext&);
-  struct State {
-    std::mutex mutex;
-    store::TieredBackend::DrainReport report;
-  };
-  std::shared_ptr<State> state_;
-  std::vector<Completion> completions_;
-};
-
-/// Snapshot the backend's dirty work list and queue one DRAIN-class item
-/// per file under `job`. Returns immediately; the copies run on the
-/// scheduler's shard workers. Items race benignly with writers, GC and
-/// other drains — a file cleaned in the meantime drops out of the report.
-DrainTicket submit_drain(IoScheduler& scheduler, const JobToken& job,
-                         store::TieredBackend& backend,
-                         const sim::LoadContext& load = {});
-
 /// Aggregate outcome of one submitted redundancy-encode pass.
 struct EncodeReport {
   int files_encoded = 0;
@@ -57,26 +27,49 @@ struct EncodeReport {
   double simulated_seconds = 0.0;
 };
 
-/// Handle for one submitted encode pass (see submit_encode).
-class EncodeTicket {
+/// Handle for one submitted background pass (submit_drain,
+/// submit_encode). wait() blocks until every queued file finished and
+/// returns the aggregate report.
+template <class Report>
+class BackgroundTicket {
  public:
-  EncodeTicket() = default;
-  [[nodiscard]] EncodeReport wait() const;
+  BackgroundTicket() = default;
+  [[nodiscard]] Report wait() const {
+    for (const Completion& completion : completions_) {
+      completion.wait();
+    }
+    if (state_ == nullptr) {
+      return {};
+    }
+    const std::lock_guard<std::mutex> lock(state_->mutex);
+    return state_->report;
+  }
+  /// Files queued by this pass (0 = nothing was pending).
   [[nodiscard]] std::size_t files_submitted() const {
     return completions_.size();
   }
 
  private:
-  friend EncodeTicket submit_encode(IoScheduler&, const JobToken&,
-                                    store::RedundantBackend&,
-                                    const sim::LoadContext&);
+  friend struct BackgroundPass;  // the submit loop (drain_service.cpp)
   struct State {
     std::mutex mutex;
-    EncodeReport report;
+    Report report;
   };
   std::shared_ptr<State> state_;
   std::vector<Completion> completions_;
 };
+
+/// Same report shape as the synchronous TieredBackend::drain().
+using DrainTicket = BackgroundTicket<store::TieredBackend::DrainReport>;
+using EncodeTicket = BackgroundTicket<EncodeReport>;
+
+/// Snapshot the backend's dirty work list and queue one DRAIN-class item
+/// per file under `job`. Returns immediately; the copies run on the
+/// scheduler's shard workers. Items race benignly with writers, GC and
+/// other drains — a file cleaned in the meantime drops out of the report.
+DrainTicket submit_drain(IoScheduler& scheduler, const JobToken& job,
+                         store::TieredBackend& backend,
+                         const sim::LoadContext& load = {});
 
 /// Snapshot the fast tier's staged-but-unencoded work list and queue one
 /// DRAIN-class item per file (fragment encoding is background protection

@@ -6,15 +6,11 @@
 #include <utility>
 
 #include "support/error.hpp"
+#include "svc/queue_model.hpp"
 
 namespace drms::svc {
 
 namespace {
-
-[[nodiscard]] std::size_t shard_index(std::string_view key, int shards) {
-  return std::hash<std::string_view>{}(key) %
-         static_cast<std::size_t>(shards);
-}
 
 [[nodiscard]] std::string class_key(const char* stem, Priority p) {
   return std::string(stem) + to_string(p);
@@ -40,17 +36,8 @@ struct Completion::State {
   std::mutex mutex;
   std::condition_variable cv;
   bool done = false;
-  double wait_seconds = 0.0;
   std::exception_ptr error;
 };
-
-bool Completion::done() const {
-  if (state_ == nullptr) {
-    return true;
-  }
-  const std::lock_guard<std::mutex> lock(state_->mutex);
-  return state_->done;
-}
 
 void Completion::wait() const {
   if (state_ == nullptr) {
@@ -61,14 +48,6 @@ void Completion::wait() const {
   if (state_->error != nullptr) {
     std::rethrow_exception(state_->error);
   }
-}
-
-double Completion::wait_seconds() const {
-  if (state_ == nullptr) {
-    return 0.0;
-  }
-  const std::lock_guard<std::mutex> lock(state_->mutex);
-  return state_->wait_seconds;
 }
 
 struct JobState {
@@ -88,10 +67,9 @@ struct JobState {
 struct IoScheduler::Item {
   std::shared_ptr<JobState> job;
   Priority priority = Priority::kForeground;
-  std::uint64_t bytes = 0;
   double sim_seconds = 0.0;
-  /// Shard virtual clock at submission (see header: deterministic model).
-  double virtual_submit = 0.0;
+  /// The shard's latest virtual completion at submission.
+  double arrival = 0.0;
   std::function<void()> fn;
   std::shared_ptr<Completion::State> completion;
 };
@@ -99,9 +77,9 @@ struct IoScheduler::Item {
 struct IoScheduler::Shard {
   std::mutex mutex;
   std::condition_variable cv;
-  /// One FIFO per priority class (fifo_only collapses onto index 0).
+  /// One FIFO per priority class.
   std::deque<std::unique_ptr<Item>> queues[kPriorityClasses];
-  double virtual_clock = 0.0;
+  ShardClock clock;
   std::thread thread;
 
   [[nodiscard]] bool empty() const {
@@ -204,7 +182,6 @@ IoScheduler::IoScheduler(Options options)
     : options_(options), recorder_(options.recorder) {
   DRMS_EXPECTS_MSG(options_.shard_count >= 1,
                    "scheduler needs at least one shard");
-  paused_ = options_.start_paused;
   shards_.reserve(static_cast<std::size_t>(options_.shard_count));
   for (int i = 0; i < options_.shard_count; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -250,11 +227,6 @@ JobToken IoScheduler::register_job(std::string name, QosLimits limits) {
   return JobToken(this, std::move(state));
 }
 
-int IoScheduler::registered_jobs() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<int>(jobs_.size());
-}
-
 void IoScheduler::deregister_job(const std::shared_ptr<JobState>& state) {
   {
     std::unique_lock<std::mutex> lock(state->mutex);
@@ -265,7 +237,8 @@ void IoScheduler::deregister_job(const std::shared_ptr<JobState>& state) {
 }
 
 IoScheduler::Shard& IoScheduler::shard_of(std::string_view key) {
-  return *shards_[shard_index(key, options_.shard_count)];
+  return *shards_[static_cast<std::size_t>(
+      svc::shard_of(key, options_.shard_count))];
 }
 
 Completion IoScheduler::submit(const JobToken& job, Priority priority,
@@ -275,6 +248,7 @@ Completion IoScheduler::submit(const JobToken& job, Priority priority,
   DRMS_EXPECTS_MSG(job.valid(), "submit through an invalid job token");
   DRMS_EXPECTS_MSG(job.scheduler_ == this,
                    "job token belongs to a different scheduler");
+  DRMS_EXPECTS_MSG(sim_seconds >= 0.0, "service time must be >= 0");
   const std::shared_ptr<JobState>& state = job.state_;
   const int pri = static_cast<int>(priority);
 
@@ -289,70 +263,24 @@ Completion IoScheduler::submit(const JobToken& job, Priority priority,
     ++state->inflight;
   }
 
-  bool inline_run = false;
+  std::size_t peak_pending = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     stats_[pri].submitted += 1;
     stats_[pri].bytes += bytes;
-    // Single-tenant degeneration: nothing queued or running anywhere, one
-    // registered job — execute synchronously in submission order.
-    inline_run = !options_.force_async && jobs_.size() == 1 &&
-                 pending_ == 0 && running_ == 0 && !paused_;
-    if (!inline_run) {
-      ++pending_;
-      peak_pending_ = std::max(peak_pending_, pending_);
-    }
+    ++pending_;
+    peak_pending_ = std::max(peak_pending_, pending_);
+    peak_pending = peak_pending_;
   }
   if (recorder_ != nullptr) {
     recorder_->count(class_key("svc.submit.", priority));
-    if (!inline_run) {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      recorder_->gauge_max("svc.queue_depth.peak",
-                           static_cast<std::uint64_t>(peak_pending_));
-    }
-  }
-
-  if (inline_run) {
-    Shard& shard = shard_of(shard_key);
-    {
-      const std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.virtual_clock += sim_seconds;
-    }
-    std::exception_ptr error;
-    try {
-      fn();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      stats_[pri].completed += 1;
-      if (error != nullptr) {
-        stats_[pri].failed += 1;
-      }
-      if (options_.keep_wait_samples) {
-        wait_samples_[pri].push_back(0.0);
-      }
-    }
-    if (recorder_ != nullptr) {
-      recorder_->count("svc.inline");
-      recorder_->count(class_key("svc.complete.", priority));
-      recorder_->record_ns(class_key("svc.wait.", priority), 0);
-      if (error != nullptr) {
-        recorder_->count(class_key("svc.fail.", priority));
-      }
-    }
-    finish_job_item(state, nullptr);  // inline errors propagate instead
-    if (error != nullptr) {
-      std::rethrow_exception(error);
-    }
-    return Completion{};  // already complete
+    recorder_->gauge_max("svc.queue_depth.peak",
+                         static_cast<std::uint64_t>(peak_pending));
   }
 
   auto item = std::make_unique<Item>();
   item->job = state;
   item->priority = priority;
-  item->bytes = bytes;
   item->sim_seconds = sim_seconds;
   item->fn = std::move(fn);
   item->completion = std::make_shared<Completion::State>();
@@ -362,9 +290,8 @@ Completion IoScheduler::submit(const JobToken& job, Priority priority,
   Shard& shard = shard_of(shard_key);
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    item->virtual_submit = shard.virtual_clock;
-    const int queue = options_.fifo_only ? 0 : pri;
-    shard.queues[queue].push_back(std::move(item));
+    item->arrival = shard.clock.latest_seconds();
+    shard.queues[pri].push_back(std::move(item));
     shard.cv.notify_one();
   }
   return ticket;
@@ -389,10 +316,8 @@ std::unique_ptr<IoScheduler::Item> IoScheduler::pop_runnable(Shard& shard) {
       continue;
     }
     // The drain class is deferred while a restore guard is held — unless
-    // the scheduler is shutting down (everything must still execute) or
-    // running the FIFO baseline (class-blind by definition).
-    if (!options_.fifo_only && c == static_cast<int>(Priority::kDrain) &&
-        holds > 0 && !stop) {
+    // the scheduler is shutting down (everything must still execute).
+    if (c == static_cast<int>(Priority::kDrain) && holds > 0 && !stop) {
       continue;
     }
     std::unique_ptr<Item> item = std::move(queue.front());
@@ -424,11 +349,13 @@ void IoScheduler::worker(Shard& shard) {
 
 void IoScheduler::execute(Shard& shard, std::unique_ptr<Item> item,
                           std::unique_lock<std::mutex>& lock) {
-  // Deterministic service model: the virtual start is where the shard's
-  // clock stands after everything dequeued before this item.
-  const double start = std::max(shard.virtual_clock, item->virtual_submit);
-  shard.virtual_clock = start + item->sim_seconds;
-  const double wait = start - item->virtual_submit;
+  // Deterministic service model. Between this item's submit and its
+  // dequeue the shard served only items of its own class or a more
+  // urgent one, so it starts at the shard's latest completion, exactly
+  // as on one serial clock per shard.
+  const double wait =
+      shard.clock.serve(item->priority, item->arrival, item->sim_seconds)
+          .wait_seconds;
   lock.unlock();
 
   const int pri = static_cast<int>(item->priority);
@@ -469,7 +396,6 @@ void IoScheduler::execute(Shard& shard, std::unique_ptr<Item> item,
   {
     const std::lock_guard<std::mutex> clock_guard(item->completion->mutex);
     item->completion->done = true;
-    item->completion->wait_seconds = wait;
     item->completion->error = error;
     item->completion->cv.notify_all();
   }
@@ -546,7 +472,7 @@ double IoScheduler::makespan_seconds() const {
   double makespan = 0.0;
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
-    makespan = std::max(makespan, shard->virtual_clock);
+    makespan = std::max(makespan, shard->clock.latest_seconds());
   }
   return makespan;
 }

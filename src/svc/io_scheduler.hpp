@@ -20,21 +20,21 @@
 //     monopolize the queues. barrier(job) is the per-job completion
 //     barrier the engines use to preserve manifest-last commit ordering.
 //
-//   * Sharded server queues. Work lands on hash(shard_key) % shard_count
-//     queues with independent locks and workers, so independent jobs
-//     (distinct file names) do not serialize on one volume lock.
+//   * Sharded server queues. Work lands on FNV-1a(shard_key) %
+//     shard_count queues (svc::shard_of) with independent locks and
+//     workers, so independent jobs (distinct file names) do not
+//     serialize on one volume lock. Every item runs on its shard's
+//     worker, never on the submitting thread.
 //
 // Deterministic service model: alongside real execution, every shard
-// advances a VIRTUAL clock by each item's modeled service seconds at
-// dequeue. Queue-wait (virtual start minus virtual submit) and makespan
-// (max shard clock) are therefore exact queueing-model quantities —
-// reproducible across runs and machines — which is what the contention
-// bench gates on. Wall-clock execution remains genuinely concurrent.
-//
-// Degeneration contract: with a single registered job (and no pending
-// items) submit() executes inline, synchronously, in submission order —
-// the scheduler adds nothing to a one-job system, which keeps the paper
-// tables bit-identical.
+// keeps the virtual clocks of svc::ShardClock (queue_model.hpp), the
+// same discipline the fleet simulator runs. submit() stamps an item's
+// arrival with the shard's latest completion; dequeue prices it at its
+// modeled service seconds. Queue-wait (virtual start minus arrival) and
+// makespan (latest completion over all shards) are therefore exact
+// queueing-model quantities — reproducible across runs and machines —
+// which is what the contention bench gates on. Wall-clock execution
+// remains genuinely concurrent.
 #pragma once
 
 #include <condition_variable>
@@ -113,16 +113,12 @@ class JobToken {
 
 /// Ticket for one submitted item. wait() blocks until the item executed
 /// and rethrows the exception it raised, if any. Default-constructed
-/// (and inline-executed) tickets are already complete.
+/// tickets are already complete.
 class Completion {
  public:
   Completion() = default;
-  /// True once the item finished (successfully or not).
-  [[nodiscard]] bool done() const;
   /// Block until done; rethrows the item's exception.
   void wait() const;
-  /// Virtual queue-wait seconds of the item (valid once done; 0 inline).
-  [[nodiscard]] double wait_seconds() const;
 
  private:
   friend class IoScheduler;
@@ -135,20 +131,11 @@ class IoScheduler {
   struct Options {
     /// Independent server queues (>= 1). One worker thread per shard.
     int shard_count = 1;
-    /// Start with dequeueing gated off — submit builds a backlog until
-    /// resume() (deterministic tests and bench phases).
-    bool start_paused = false;
-    /// Ignore priority classes: one FIFO per shard (the serialized
-    /// baseline of the contention bench).
-    bool fifo_only = false;
-    /// Never take the single-job inline shortcut (tests that want queue
-    /// behaviour with one job).
-    bool force_async = false;
     /// Record every item's virtual wait for percentile reporting.
     bool keep_wait_samples = false;
     /// Optional metrics sink: svc.submit.<class> / svc.complete.<class> /
-    /// svc.fail.<class> / svc.inline counters, svc.wait.<class> latency
-    /// histograms and svc.queue_depth.peak gauge.
+    /// svc.fail.<class> counters, svc.wait.<class> latency histograms
+    /// and svc.queue_depth.peak gauge.
     obs::Recorder* recorder = nullptr;
   };
 
@@ -161,15 +148,12 @@ class IoScheduler {
 
   // ---- tenancy --------------------------------------------------------------
   [[nodiscard]] JobToken register_job(std::string name, QosLimits limits = {});
-  [[nodiscard]] int registered_jobs() const;
 
   // ---- submission -----------------------------------------------------------
   /// Queue one work item. `bytes` and `sim_seconds` describe the item for
   /// QoS accounting and the virtual service clock (both may be 0); `fn`
   /// performs the real storage operation on a worker thread. Blocks while
-  /// the job is at its max_inflight budget. With a single registered job
-  /// and an empty queue the item runs inline (synchronously, exceptions
-  /// propagate to the caller) unless Options::force_async.
+  /// the job is at its max_inflight budget.
   Completion submit(const JobToken& job, Priority priority,
                     std::string_view shard_key, std::uint64_t bytes,
                     double sim_seconds, std::function<void()> fn);
@@ -183,6 +167,8 @@ class IoScheduler {
   void wait_idle();
 
   // ---- flow control ---------------------------------------------------------
+  /// Gate dequeueing off: submit builds a backlog until resume()
+  /// (deterministic tests and bench phases).
   void pause();
   void resume();
 
@@ -211,8 +197,8 @@ class IoScheduler {
   [[nodiscard]] ClassStats class_stats(Priority p) const;
   /// Per-item virtual waits of one class (Options::keep_wait_samples).
   [[nodiscard]] std::vector<double> wait_samples(Priority p) const;
-  /// Max shard virtual clock — the modeled makespan of everything
-  /// serviced so far.
+  /// Latest virtual completion over all shards — the modeled makespan
+  /// of everything serviced so far.
   [[nodiscard]] double makespan_seconds() const;
   [[nodiscard]] int shard_count() const noexcept;
   /// Items queued but not yet started, across all shards.

@@ -414,7 +414,6 @@ TEST(DrmsCheckpoint, IoSessionWriteIsByteIdenticalAndRestorable) {
   Volume async_vol(16);
   drms::obs::Recorder recorder;
   drms::svc::IoScheduler::Options opts;
-  opts.force_async = true;  // queue even as the only registered job
   opts.shard_count = 4;
   opts.recorder = &recorder;
   drms::svc::IoScheduler scheduler(opts);
@@ -437,7 +436,6 @@ TEST(SpmdCheckpoint, IoSessionWriteIsByteIdenticalAndRestorable) {
   Volume async_vol(16);
   drms::obs::Recorder recorder;
   drms::svc::IoScheduler::Options opts;
-  opts.force_async = true;
   opts.shard_count = 4;
   opts.recorder = &recorder;
   drms::svc::IoScheduler scheduler(opts);

@@ -56,8 +56,8 @@ AppSegmentModel tiny_segment() {
 }
 
 /// kQueued is the memory stack written through an attached checkpoint-
-/// service session: a force_async, 4-shard IoScheduler, so a crash lands
-/// while other queued items are still in flight.
+/// service session: a 4-shard IoScheduler, so a crash lands while other
+/// queued items are still in flight.
 enum class BackendKind { kMemory, kPiofs, kTiered, kQueued };
 
 const char* to_string(BackendKind kind) {
@@ -110,7 +110,6 @@ Stack make_stack(BackendKind kind) {
   s.fault = std::make_unique<FaultInjectionBackend>(*inner);
   if (kind == BackendKind::kQueued) {
     drms::svc::IoScheduler::Options opts;
-    opts.force_async = true;
     opts.shard_count = 4;
     s.io = std::make_unique<drms::svc::IoScheduler>(opts);
     s.job = s.io->register_job("sweep");

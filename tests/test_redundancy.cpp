@@ -776,7 +776,6 @@ TEST(RedundantBackend, BeyondToleranceLossFallsBackToTheSlowTier) {
 TEST(RedundantBackend, SubmitEncodeRunsTheWorkListThroughTheScheduler) {
   svc::IoScheduler::Options opts;
   opts.shard_count = 2;
-  opts.force_async = true;
   svc::IoScheduler scheduler(opts);
   svc::JobToken job = scheduler.register_job("ckpt");
   RedundantBackend fast(4, kXor4);

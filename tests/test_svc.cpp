@@ -1,12 +1,11 @@
 // drms::svc IoScheduler — the multi-tenant checkpoint-service core.
 // Covers the three design commitments (priority classes, per-job QoS
-// tokens, sharded queues), the single-job inline degeneration contract
-// the paper tables rely on, the deterministic virtual-time service
-// model, error propagation through barriers, and the recorder wiring.
+// tokens, sharded queues), the one execution path (every item runs on a
+// shard worker), the deterministic virtual-time service model, error
+// propagation through barriers, and the recorder wiring.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -14,6 +13,7 @@
 #include <vector>
 
 #include "obs/recorder.hpp"
+#include "support/error.hpp"
 #include "svc/io_scheduler.hpp"
 
 namespace {
@@ -39,51 +39,40 @@ struct OrderLog {
   }
 };
 
-TEST(Svc, SingleJobDegeneratesToInlineInOrderExecution) {
+TEST(Svc, SameKeyItemsQueueOnAWorkerInSubmissionOrder) {
   drms::obs::Recorder recorder;
   IoScheduler::Options opts;
+  opts.shard_count = 4;
   opts.recorder = &recorder;
   IoScheduler scheduler(opts);
   JobToken job = scheduler.register_job("solo");
 
-  std::vector<int> order;
+  // A lone job's items still queue: none runs on the submitting thread.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> ran_on_caller{0};
+  OrderLog log;
   for (int i = 0; i < 4; ++i) {
-    Completion c = scheduler.submit(job, Priority::kForeground, "file",
-                                    /*bytes=*/64, /*sim_seconds=*/0.25,
-                                    [&order, i] { order.push_back(i); });
-    // Inline execution: the item is already done when submit returns,
-    // with zero virtual queue-wait.
-    EXPECT_TRUE(c.done());
-    EXPECT_EQ(c.wait_seconds(), 0.0);
+    scheduler.submit(job, Priority::kForeground, "file", /*bytes=*/64,
+                     /*sim_seconds=*/0.25, [&, i] {
+                       if (std::this_thread::get_id() == caller) {
+                         ++ran_on_caller;
+                       }
+                       log.add(std::to_string(i));
+                     });
   }
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(scheduler.queue_depth(), 0u);
+  scheduler.wait_idle();
+  EXPECT_EQ(ran_on_caller.load(), 0);
+  EXPECT_EQ(log.snapshot(), (std::vector<std::string>{"0", "1", "2", "3"}));
+  // One key, one shard: the four items serialize on its virtual clock.
+  EXPECT_DOUBLE_EQ(scheduler.makespan_seconds(), 1.0);
   EXPECT_EQ(scheduler.class_stats(Priority::kForeground).completed, 4u);
-  EXPECT_EQ(recorder.counter("svc.inline"), 4u);
   EXPECT_EQ(recorder.counter("svc.submit.foreground"), 4u);
   EXPECT_EQ(recorder.counter("svc.complete.foreground"), 4u);
 }
 
-TEST(Svc, SingleJobInlineErrorsPropagateSynchronously) {
-  IoScheduler scheduler;
-  JobToken job = scheduler.register_job("solo");
-  EXPECT_THROW(scheduler.submit(job, Priority::kForeground, "f", 0, 0.0,
-                                [] { throw std::runtime_error("disk"); }),
-               std::runtime_error);
-  // The failure was consumed synchronously: the barrier has nothing to
-  // rethrow and later submissions are unaffected.
-  EXPECT_NO_THROW(scheduler.barrier(job));
-  bool ran = false;
-  scheduler.submit(job, Priority::kForeground, "f", 0, 0.0,
-                   [&ran] { ran = true; });
-  EXPECT_TRUE(ran);
-}
-
 TEST(Svc, RestoreBeatsForegroundBeatsDrain) {
-  IoScheduler::Options opts;
-  opts.start_paused = true;
-  opts.force_async = true;
-  IoScheduler scheduler(opts);
+  IoScheduler scheduler;
+  scheduler.pause();
   JobToken job = scheduler.register_job("tenant");
 
   OrderLog log;
@@ -101,58 +90,36 @@ TEST(Svc, RestoreBeatsForegroundBeatsDrain) {
             (std::vector<std::string>{"restore", "foreground", "drain"}));
 }
 
-TEST(Svc, FifoOnlyIsClassBlind) {
-  IoScheduler::Options opts;
-  opts.start_paused = true;
-  opts.force_async = true;
-  opts.fifo_only = true;
-  IoScheduler scheduler(opts);
-  JobToken job = scheduler.register_job("tenant");
-
-  OrderLog log;
-  scheduler.submit(job, Priority::kDrain, "k", 0, 0.0,
-                   [&log] { log.add("drain"); });
-  scheduler.submit(job, Priority::kRestore, "k", 0, 0.0,
-                   [&log] { log.add("restore"); });
-  scheduler.resume();
-  scheduler.wait_idle();
-  // The serialized baseline keeps submission order even across classes.
-  EXPECT_EQ(log.snapshot(), (std::vector<std::string>{"drain", "restore"}));
-}
-
 TEST(Svc, MaxInflightBlocksSubmitUntilCompletionsFreeASlot) {
-  IoScheduler::Options opts;
-  opts.start_paused = true;
-  opts.force_async = true;
-  IoScheduler scheduler(opts);
+  IoScheduler scheduler;
+  scheduler.pause();
   QosLimits limits;
   limits.max_inflight = 2;
   JobToken job = scheduler.register_job("greedy", limits);
 
-  scheduler.submit(job, Priority::kForeground, "a", 0, 0.0, [] {});
-  scheduler.submit(job, Priority::kForeground, "b", 0, 0.0, [] {});
+  std::atomic<int> completed{0};
+  const auto item = [&completed] { ++completed; };
+  scheduler.submit(job, Priority::kForeground, "a", 0, 0.0, item);
+  scheduler.submit(job, Priority::kForeground, "b", 0, 0.0, item);
 
-  std::atomic<bool> admitted{false};
+  int completed_at_admission = -1;
   std::thread third([&] {
-    scheduler.submit(job, Priority::kForeground, "c", 0, 0.0, [] {});
-    admitted.store(true);
+    scheduler.submit(job, Priority::kForeground, "c", 0, 0.0, item);
+    completed_at_admission = completed.load();
   });
-  // At the budget the third submit must block while the queue is paused.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(admitted.load());
-  // Draining the job's own completions frees a slot and admits it.
+  // Nothing completes while the queue is paused, so the third submit, at
+  // the budget, returns only after resume() lets one of the job's own
+  // items finish and free a slot.
   scheduler.resume();
   third.join();
-  EXPECT_TRUE(admitted.load());
+  EXPECT_GE(completed_at_admission, 1);
   scheduler.wait_idle();
   EXPECT_EQ(scheduler.class_stats(Priority::kForeground).completed, 3u);
 }
 
 TEST(Svc, VirtualTimelineShardsRunInParallel) {
   // 32 one-second items on one shard serialize to a 32 s makespan...
-  IoScheduler::Options one;
-  one.force_async = true;
-  IoScheduler serial(one);
+  IoScheduler serial;
   JobToken sjob = serial.register_job("tenant");
   for (int i = 0; i < 32; ++i) {
     serial.submit(sjob, Priority::kForeground, "file" + std::to_string(i),
@@ -164,7 +131,6 @@ TEST(Svc, VirtualTimelineShardsRunInParallel) {
   // ...and spread over 4 shard queues the modeled makespan shrinks (the
   // hash spreads 32 distinct file names well below full serialization).
   IoScheduler::Options four;
-  four.force_async = true;
   four.shard_count = 4;
   IoScheduler sharded(four);
   JobToken pjob = sharded.register_job("tenant");
@@ -179,10 +145,9 @@ TEST(Svc, VirtualTimelineShardsRunInParallel) {
 
 TEST(Svc, QueueWaitIsDeterministicQueueingModel) {
   IoScheduler::Options opts;
-  opts.start_paused = true;
-  opts.force_async = true;
   opts.keep_wait_samples = true;
   IoScheduler scheduler(opts);
+  scheduler.pause();
   JobToken job = scheduler.register_job("tenant");
   // Three 2 s items queued at virtual time 0 on one shard: waits are
   // exactly 0, 2 and 4 s regardless of host timing.
@@ -200,10 +165,8 @@ TEST(Svc, QueueWaitIsDeterministicQueueingModel) {
 }
 
 TEST(Svc, RestoreGuardParksDrainsUntilReleased) {
-  IoScheduler::Options opts;
-  opts.start_paused = true;
-  opts.force_async = true;
-  IoScheduler scheduler(opts);
+  IoScheduler scheduler;
+  scheduler.pause();
   JobToken job = scheduler.register_job("tenant");
 
   std::atomic<int> drains{0};
@@ -225,10 +188,8 @@ TEST(Svc, RestoreGuardParksDrainsUntilReleased) {
 }
 
 TEST(Svc, RestoreGuardSelfMoveKeepsTheDrainsParked) {
-  IoScheduler::Options opts;
-  opts.start_paused = true;
-  opts.force_async = true;
-  IoScheduler scheduler(opts);
+  IoScheduler scheduler;
+  scheduler.pause();
   JobToken job = scheduler.register_job("tenant");
   std::atomic<int> drains{0};
   scheduler.submit(job, Priority::kDrain, "k", 0, 0.0,
@@ -247,10 +208,8 @@ TEST(Svc, RestoreGuardSelfMoveKeepsTheDrainsParked) {
 }
 
 TEST(Svc, RestoreGuardAssignOverArmedReleasesExactlyOneHold) {
-  IoScheduler::Options opts;
-  opts.start_paused = true;
-  opts.force_async = true;
-  IoScheduler scheduler(opts);
+  IoScheduler scheduler;
+  scheduler.pause();
   JobToken job = scheduler.register_job("tenant");
   std::atomic<int> drains{0};
   scheduler.submit(job, Priority::kDrain, "k", 0, 0.0,
@@ -270,10 +229,8 @@ TEST(Svc, RestoreGuardAssignOverArmedReleasesExactlyOneHold) {
 }
 
 TEST(Svc, RestoreGuardAssignEmptyOverArmedUnparks) {
-  IoScheduler::Options opts;
-  opts.start_paused = true;
-  opts.force_async = true;
-  IoScheduler scheduler(opts);
+  IoScheduler scheduler;
+  scheduler.pause();
   JobToken job = scheduler.register_job("tenant");
   std::atomic<int> drains{0};
   scheduler.submit(job, Priority::kDrain, "k", 0, 0.0,
@@ -290,9 +247,7 @@ TEST(Svc, RestoreGuardAssignEmptyOverArmedUnparks) {
 }
 
 TEST(Svc, BarrierRethrowsTheJobsFirstAsyncErrorOnce) {
-  IoScheduler::Options opts;
-  opts.force_async = true;
-  IoScheduler scheduler(opts);
+  IoScheduler scheduler;
   JobToken job = scheduler.register_job("tenant");
   scheduler.submit(job, Priority::kForeground, "k", 0, 0.0,
                    [] { throw std::runtime_error("torn write"); });
@@ -304,9 +259,7 @@ TEST(Svc, BarrierRethrowsTheJobsFirstAsyncErrorOnce) {
 }
 
 TEST(Svc, CompletionWaitRethrowsThatItemsError) {
-  IoScheduler::Options opts;
-  opts.force_async = true;
-  IoScheduler scheduler(opts);
+  IoScheduler scheduler;
   JobToken job = scheduler.register_job("tenant");
   Completion bad = scheduler.submit(job, Priority::kForeground, "k", 0, 0.0,
                                     [] { throw std::runtime_error("boom"); });
@@ -315,19 +268,20 @@ TEST(Svc, CompletionWaitRethrowsThatItemsError) {
   EXPECT_THROW(scheduler.barrier(job), std::runtime_error);
 }
 
-TEST(Svc, TwoJobsDisableTheInlineShortcut) {
+TEST(Svc, NegativeServiceTimeIsRejectedBeforeQueueing) {
   IoScheduler scheduler;
-  JobToken a = scheduler.register_job("a");
-  JobToken b = scheduler.register_job("b");
-  EXPECT_EQ(scheduler.registered_jobs(), 2);
+  JobToken job = scheduler.register_job("tenant");
+  // A worker must not throw while pricing an item, so submit refuses a
+  // negative service time on the caller's thread, before it counts or
+  // queues anything.
   std::atomic<bool> ran{false};
-  scheduler.submit(a, Priority::kForeground, "k", 0, 0.0,
-                   [&ran] { ran = true; });
-  scheduler.barrier(a);
-  EXPECT_TRUE(ran.load());
-  // Releasing b restores the single-tenant system.
-  b.release();
-  EXPECT_EQ(scheduler.registered_jobs(), 1);
+  EXPECT_THROW(scheduler.submit(job, Priority::kForeground, "k", 0, -1.0,
+                                [&ran] { ran = true; }),
+               drms::support::ContractViolation);
+  EXPECT_NO_THROW(scheduler.barrier(job));
+  scheduler.wait_idle();
+  EXPECT_FALSE(ran.load());
+  EXPECT_EQ(scheduler.class_stats(Priority::kForeground).submitted, 0u);
 }
 
 TEST(Svc, DestructorRunsEveryPendingItem) {
@@ -338,10 +292,8 @@ TEST(Svc, DestructorRunsEveryPendingItem) {
     // token's later release is a no-op instead of waiting on work the
     // dead scheduler can no longer run.
     JobToken job;
-    IoScheduler::Options opts;
-    opts.start_paused = true;
-    opts.force_async = true;
-    IoScheduler scheduler(opts);
+    IoScheduler scheduler;
+    scheduler.pause();
     job = scheduler.register_job("tenant");
     for (int i = 0; i < 5; ++i) {
       std::string key = "k";
@@ -369,10 +321,9 @@ TEST(Svc, JobTokenOutlivingTheSchedulerIsSafe) {
 TEST(Svc, RecorderSeesAsyncCountersAndQueueDepth) {
   drms::obs::Recorder recorder;
   IoScheduler::Options opts;
-  opts.start_paused = true;
-  opts.force_async = true;
   opts.recorder = &recorder;
   IoScheduler scheduler(opts);
+  scheduler.pause();
   JobToken job = scheduler.register_job("tenant");
   scheduler.submit(job, Priority::kRestore, "k", 128, 1.0, [] {});
   scheduler.submit(job, Priority::kDrain, "k", 256, 1.0, [] {});

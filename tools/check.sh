@@ -22,7 +22,8 @@
 #
 # TSAN=1 switches from ASan/UBSan to ThreadSanitizer (default build dir:
 # build-tsan) and, unless TARGETS/CTEST_ARGS narrow it, bounds the run to
-# the concurrency-heavy suites: the I/O scheduler (svc), the tiered-store
+# the concurrency-heavy suites: the I/O scheduler (svc), both engines'
+# writes through shard workers (IoSession), the tiered-store
 # drain/restore races, the pipelined streamer and its serial channels, the
 # recorder, and the recovery supervisor. The perf smoke is skipped — TSan throughput is
 # meaningless.
@@ -51,8 +52,8 @@ if [[ -n "${tsan}" ]]; then
   # TSan mode defaults to the scheduler/drain race suites; an explicit
   # TARGETS/CTEST_ARGS pair overrides the bound.
   if [[ -z "${TARGETS:-}" && -z "${CTEST_ARGS:-}" ]]; then
-    TARGETS="test_svc test_store test_streamer test_sequential_channel test_obs test_recovery test_partial_recovery test_redundancy test_delta test_adapt"
-    CTEST_ARGS="-R Svc|IoScheduler|TieredBackend|Streamer|SequentialStreaming|InMemoryPipe|FileChannel|Obs|Recovery|Redundan|Delta|Partial|StreamRuns|Adapt"
+    TARGETS="test_svc test_store test_streamer test_sequential_channel test_obs test_recovery test_partial_recovery test_redundancy test_delta test_adapt test_checkpoint"
+    CTEST_ARGS="-R Svc|IoScheduler|TieredBackend|Streamer|SequentialStreaming|InMemoryPipe|FileChannel|Obs|Recovery|Redundan|Delta|Partial|StreamRuns|Adapt|IoSession"
   fi
 fi
 
