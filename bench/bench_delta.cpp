@@ -16,13 +16,17 @@
 //            payload bytes than a full dump
 //   time     their simulated checkpoint time is >= 10% below a full dump
 //   restore  restarting from the chain tip reproduces the failure-free
-//            canonical-stream CRCs of BOTH legs (base + deltas replayed,
-//            newest block wins)
+//            canonical-stream CRCs of BOTH legs (each block taken from
+//            the newest link that holds it)
+//   reads    that restart reads fewer storage bytes than replaying every
+//            link would: the base's array bytes plus every delta's
+//            stored blocks
 //   verify   deep verify of the chain tip walks the whole chain clean
 //
 // The table and BENCH_delta.json report the two reductions apart: dirty
 // tracking (raw bytes of the dirty blocks against a full dump) and the
-// codec (raw over stored bytes of those blocks).
+// codec (raw over stored bytes of those blocks). They also report the
+// restart's storage reads and simulated time.
 // The simulated-time tables of the paper runs are untouched: delta mode
 // defaults off everywhere else.
 #include <array>
@@ -152,6 +156,11 @@ struct LegResult {
   bool verify_ok = true;
   std::vector<std::string> verify_problems;
   std::string tip_prefix;
+  /// Delta leg only: storage bytes the restart read, what replaying every
+  /// chain link whole would read, and the restart's simulated seconds.
+  std::uint64_t restore_bytes_read = 0;
+  std::uint64_t replay_all_bytes = 0;
+  double restore_seconds = 0.0;
 };
 
 LegResult run_leg(bool delta, const Params& p) {
@@ -253,8 +262,21 @@ LegResult run_leg(bool delta, const Params& p) {
     result.verify_problems = v.problems;
   }
 
+  // Replaying every link would read the base's arrays whole and every
+  // delta's stored blocks.
+  const std::vector<std::string> chain =
+      core::resolve_checkpoint_chain(storage, result.tip_prefix);
+  for (const std::string& link : chain) {
+    for (const core::ArrayMeta& am :
+         core::read_checkpoint_meta(storage, link).arrays) {
+      result.replay_all_bytes +=
+          link == chain.front() ? am.stream_bytes : am.stored_bytes;
+    }
+  }
+
   // Restore leg: a fresh program restarts from the chain tip and must
   // reproduce the failure-free stream CRCs exactly.
+  const std::uint64_t read_before = storage.stats().bytes_read;
   DrmsEnv renv = env;
   renv.restart_prefix = result.tip_prefix;
   DrmsProgram restarted(app, renv, segment(), kTasks);
@@ -285,6 +307,8 @@ LegResult run_leg(bool delta, const Params& p) {
     throw support::Error("delta bench restore leg failed: " +
                          rrun.kill_reason);
   }
+  result.restore_bytes_read = storage.stats().bytes_read - read_before;
+  result.restore_seconds = restarted.last_restart_timing().total_seconds();
   return result;
 }
 
@@ -333,12 +357,17 @@ void write_json(const std::string& path, const Params& p,
   }
   json.field("dirty_tracking_reduction_percent", dirty_reduction);
   json.field("codec_ratio", codec_ratio);
+  json.field("restore_bytes_read", delta.restore_bytes_read);
+  json.field("restore_replay_all_bytes", delta.replay_all_bytes);
+  json.field("restore_seconds", delta.restore_seconds);
   json.begin_object("gates");
   json.field("bytes_reduction_percent", bytes_reduction);
   json.field("time_reduction_percent", time_reduction);
   json.field("restore_fingerprints_match", restore_ok);
   json.field("cross_leg_fingerprints_match", fingerprints_match);
   json.field("chain_deep_verify_ok", delta.verify_ok);
+  json.field("restore_reads_below_replay_all",
+             delta.restore_bytes_read < delta.replay_all_bytes);
   json.end_object();
   json.end_object();
   out << '\n';
@@ -417,6 +446,10 @@ int main(int argc, char** argv) {
             << format_fixed(codec_ratio, 2) << "x), "
             << format_fixed(time_reduction, 1)
             << "% less simulated checkpoint time than a full dump\n";
+  std::cout << "restore from the chain tip: read " << delta.restore_bytes_read
+            << " B (replaying every link: " << delta.replay_all_bytes
+            << " B), " << format_fixed(delta.restore_seconds, 2)
+            << " s simulated\n";
 
   write_json("BENCH_delta.json", p, full, delta, bytes_reduction,
              dirty_reduction, codec_ratio, time_reduction, restore_ok,
@@ -445,6 +478,13 @@ int main(int argc, char** argv) {
     std::cerr << "REGRESSION: restoring from the chain tip ("
               << delta.tip_prefix
               << ") did not reproduce the failure-free stream CRCs\n";
+    ok = false;
+  }
+  if (delta.restore_bytes_read >= delta.replay_all_bytes) {
+    std::cerr << "REGRESSION: restoring from the chain tip read "
+              << delta.restore_bytes_read
+              << " B, no fewer than replaying every link ("
+              << delta.replay_all_bytes << " B)\n";
     ok = false;
   }
   if (!delta.verify_ok) {

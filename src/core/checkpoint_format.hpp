@@ -72,7 +72,8 @@ struct AppSegmentModel {
 
 /// Whether a generation carries the full array state or only the blocks
 /// dirtied since its base. Deltas chain through base_prefix to the most
-/// recent full generation; restore replays base + deltas oldest-first.
+/// recent full generation; restore takes each block from the newest
+/// chain link that holds it, and the base's bytes where no delta does.
 enum class GenerationKind : std::uint8_t {
   kFull = 0,
   kDelta = 1,

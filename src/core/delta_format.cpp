@@ -127,6 +127,12 @@ std::vector<DeltaBlockRecord> read_delta_index(const store::FileHandle& file,
         r.payload_offset > header.payload_bytes - r.stored_bytes) {
       throw support::CorruptCheckpoint(what + ": delta record out of bounds");
     }
+    // The writer emits dirty blocks in ascending order, and restore
+    // relies on each block having at most one record per file.
+    if (!records.empty() && r.block_index <= records.back().block_index) {
+      throw support::CorruptCheckpoint(
+          what + ": delta index repeats or reorders a block");
+    }
     // A block is never empty nor larger than the block target, a raw
     // block stores its raw bytes, and an encoded one is smaller.
     if (r.raw_bytes == 0 || r.raw_bytes > header.block_bytes ||

@@ -13,10 +13,10 @@
 //     payload  the dirty blocks' bytes, each run through the block codec
 //              stage (raw fallback keeps blocks from ever expanding).
 //     index    [u32 crc][u64 size][u64 count][records…] — one 44-byte
-//              record per stored block: block index in the array's
-//              stream-order block plan, raw/stored byte counts, payload
-//              offset, codec id, and CRC-32C of both the raw and the
-//              stored bytes.
+//              record per stored block, in strictly ascending block
+//              order: block index in the array's stream-order block
+//              plan, raw/stored byte counts, payload offset, codec id,
+//              and CRC-32C of both the raw and the stored bytes.
 // The meta (version 3) and commit manifest (version 2) carry the chain
 // link: base_prefix names the generation this delta applies on top of.
 #pragma once

@@ -1,6 +1,8 @@
 #include "core/drms_checkpoint.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 
 #include "core/exchange.hpp"
 #include "core/partial_restore.hpp"
@@ -45,34 +47,35 @@ SegHeaderFields parse_segment_header(support::ByteBuffer& buf) {
   return h;
 }
 
-/// The generations a restore of `array` replays, full base first (a full
-/// generation is a one-link chain), and the base's recorded stream CRC.
-/// Every task resolves the chain itself — deterministic reads of shared
-/// metadata — keeping the collective apply aligned.
-struct ReplayChain {
-  std::vector<std::string> links;
-  std::uint32_t base_crc = 0;
+/// Disjoint half-open byte ranges of an array's element stream; touching
+/// ranges merge as they are added.
+class StreamCover {
+ public:
+  [[nodiscard]] bool covers(std::uint64_t begin, std::uint64_t end) const {
+    const auto next = ranges_.upper_bound(begin);
+    return next != ranges_.begin() && std::prev(next)->second >= end;
+  }
+
+  void add(std::uint64_t begin, std::uint64_t end) {
+    auto it = ranges_.upper_bound(begin);
+    if (it != ranges_.begin() && std::prev(it)->second >= begin) {
+      --it;
+      begin = it->first;
+    }
+    while (it != ranges_.end() && it->first <= end) {
+      end = std::max(end, it->second);
+      it = ranges_.erase(it);
+    }
+    ranges_.emplace(begin, end);
+  }
+
+ private:
+  std::map<std::uint64_t, std::uint64_t> ranges_;  // begin -> end
 };
 
-ReplayChain replay_chain(const store::StorageBackend& storage,
-                         const std::string& prefix, const CheckpointMeta& meta,
-                         const DistArray& array) {
-  if (meta.kind == GenerationKind::kFull) {
-    return {{prefix}, meta.array(array.name()).stream_crc};
-  }
-  ReplayChain chain{resolve_checkpoint_chain(storage, prefix), 0};
-  const CheckpointMeta base_meta =
-      read_checkpoint_meta(storage, chain.links.front());
-  const ArrayMeta& base_am = base_meta.array(array.name());
-  DRMS_EXPECTS_MSG(base_am.box() == array.global_box() &&
-                       base_am.elem_size == array.elem_size(),
-                   "chain base array shape does not match declaration");
-  chain.base_crc = base_am.stream_crc;
-  return chain;
-}
-
 /// One delta link of a chain replay: `array`'s delta file under `link`,
-/// its stored-block records, and the block plan they index.
+/// the stored-block records the replay applies from it, and the block
+/// plan they index.
 struct DeltaLink {
   store::FileHandle file;
   std::vector<DeltaBlockRecord> records;
@@ -95,7 +98,70 @@ DeltaLink open_delta_link(const store::StorageBackend& storage,
     throw support::CorruptCheckpoint(
         file_name + ": block plan disagrees with the array's shape");
   }
+  for (const DeltaBlockRecord& r : d.records) {
+    const auto block = static_cast<std::size_t>(r.block_index);
+    if (r.raw_bytes != static_cast<std::uint64_t>(
+                           d.blocks.chunks[block].element_count()) *
+                           array.elem_size()) {
+      throw support::CorruptCheckpoint(
+          file_name + ": delta record does not match the array's block plan");
+    }
+  }
   return d;
+}
+
+/// How a restore of `array` replays the generation under `prefix`. A full
+/// generation is its own base, read whole. A delta generation takes each
+/// stream byte from the newest chain link that holds it: walking the
+/// links newest first, a record is kept only if no newer link holds its
+/// whole byte range, and the base is needed only for bytes no delta
+/// holds. Kept records still apply oldest first, so a record that newer
+/// links cover in part lands before they overwrite that part, whatever
+/// block target each link was written with. Every task plans for itself
+/// from the same shared metadata, which keeps the collective apply
+/// aligned; every link's header and index is read and checked.
+struct ReplayPlan {
+  std::string base;
+  std::uint32_t base_crc = 0;
+  /// The stream bytes some delta of the chain holds.
+  StreamCover held;
+  /// The chain's delta links, oldest first, each with its kept records.
+  std::vector<DeltaLink> links;
+};
+
+ReplayPlan plan_replay(const store::StorageBackend& storage,
+                       const std::string& prefix, const CheckpointMeta& meta,
+                       const DistArray& array) {
+  if (meta.kind == GenerationKind::kFull) {
+    return {prefix, meta.array(array.name()).stream_crc, {}, {}};
+  }
+  const std::vector<std::string> chain =
+      resolve_checkpoint_chain(storage, prefix);
+  const CheckpointMeta base_meta = read_checkpoint_meta(storage, chain.front());
+  const ArrayMeta& base_am = base_meta.array(array.name());
+  DRMS_EXPECTS_MSG(base_am.box() == array.global_box() &&
+                       base_am.elem_size == array.elem_size(),
+                   "chain base array shape does not match declaration");
+  ReplayPlan plan{chain.front(), base_am.stream_crc, {}, {}};
+  for (std::size_t g = 1; g < chain.size(); ++g) {
+    plan.links.push_back(open_delta_link(storage, chain[g], array));
+  }
+  // A link's records hold disjoint blocks (the index is strictly
+  // ascending), so adding each one as it is checked leaves the check
+  // against newer links only.
+  for (auto link = plan.links.rbegin(); link != plan.links.rend(); ++link) {
+    std::vector<DeltaBlockRecord> kept;
+    for (const DeltaBlockRecord& r : link->records) {
+      const std::uint64_t begin =
+          link->blocks.offsets[static_cast<std::size_t>(r.block_index)];
+      if (!plan.held.covers(begin, begin + r.raw_bytes)) {
+        kept.push_back(r);
+      }
+      plan.held.add(begin, begin + r.raw_bytes);
+    }
+    link->records = std::move(kept);
+  }
+  return plan;
 }
 
 }  // namespace
@@ -478,22 +544,23 @@ void DrmsCheckpoint::restore_array(rt::TaskContext& ctx,
   const ArrayStreamer streamer(&storage_, load_, target_chunk_bytes_,
                                jitter_, recorder_);
   const int readers = effective_io_tasks(ctx);
-  // A delta generation replays its chain: the full base streams in
-  // first, then every delta's stored blocks scatter on top, oldest first
-  // — the newest write of each block wins.
-  const ReplayChain chain = replay_chain(storage_, prefix, meta, array);
-  const store::FileHandle base_file =
-      storage_.open(array_file_name(chain.links.front(), array.name()));
-  std::uint32_t crc = 0;
-  streamer.read_section(ctx, array, array.global_box(), base_file, 0, readers,
-                        &crc);
-  if (crc != chain.base_crc) {
-    throw support::CorruptCheckpoint(
-        "array file for '" + array.name() + "' of generation '" +
-        chain.links.front() + "' is corrupt or torn (stream CRC mismatch)");
+  // The base streams in whole, so its stream CRC is checked, unless the
+  // chain's deltas hold every byte; then the kept delta blocks scatter
+  // on top, oldest link first.
+  const ReplayPlan plan = plan_replay(storage_, prefix, meta, array);
+  if (!plan.held.covers(0, array.global_byte_count())) {
+    const store::FileHandle base_file =
+        storage_.open(array_file_name(plan.base, array.name()));
+    std::uint32_t crc = 0;
+    streamer.read_section(ctx, array, array.global_box(), base_file, 0,
+                          readers, &crc);
+    if (crc != plan.base_crc) {
+      throw support::CorruptCheckpoint(
+          "array file for '" + array.name() + "' of generation '" +
+          plan.base + "' is corrupt or torn (stream CRC mismatch)");
+    }
   }
-  for (std::size_t g = 1; g < chain.links.size(); ++g) {
-    const DeltaLink link = open_delta_link(storage_, chain.links[g], array);
+  for (const DeltaLink& link : plan.links) {
     streamer.apply_delta_blocks(ctx, array, link.blocks, link.records,
                                 link.file, readers);
   }
@@ -558,12 +625,19 @@ std::uint64_t DrmsCheckpoint::restore_array_sections(
     return 0;
   }
 
-  // Delta generations read their chain base's stream, then replay blocks.
-  const std::vector<std::string> links =
-      replay_chain(storage_, prefix, meta, array).links;
-
-  const std::string base_name = array_file_name(links.front(), array.name());
-  const store::FileHandle base_file = storage_.open(base_name);
+  // The base's runs are read unless the chain's deltas hold all of a
+  // run's bytes; from here on total_bytes counts the bytes read.
+  const ReplayPlan plan = plan_replay(storage_, prefix, meta, array);
+  std::erase_if(chunks, [&](const StreamRun& c) {
+    return plan.held.covers(c.byte_offset, c.byte_offset + c.bytes);
+  });
+  total_bytes = 0;
+  for (const StreamRun& c : chunks) {
+    total_bytes += c.bytes;
+  }
+  const std::string base_name = array_file_name(plan.base, array.name());
+  const store::FileHandle base_file =
+      chunks.empty() ? store::FileHandle() : storage_.open(base_name);
   const std::vector<Slice> dst_mapped = array.distribution().mapped_slices();
   const int readers = effective_io_tasks(ctx);
   const int me = ctx.rank();
@@ -607,25 +681,22 @@ std::uint64_t DrmsCheckpoint::restore_array_sections(
   // many short runs cost more than one big sequential stream and break
   // the failed-fraction scaling the partial path exists for. (So far
   // total_bytes counts the base runs only.)
-  if (storage_.charges_time()) {
+  if (!chunks.empty() && storage_.charges_time()) {
     const int width = static_cast<int>(
         std::min<std::size_t>(static_cast<std::size_t>(readers),
                               chunks.size()));
     ctx.charge(storage_.stream_read_round_seconds(
-        total_bytes, std::max(width, 1), load_,
-        jitter_ ? &ctx.shared_rng() : nullptr));
+        total_bytes, width, load_, jitter_ ? &ctx.shared_rng() : nullptr));
   }
 
-  // Delta links, oldest first: replay only the chain blocks that touch
-  // the requested sections. A record whose block also overlaps survivor
-  // regions scatters values identical to the survivors' retained memory
-  // (same SOP), so over-coverage is harmless; blocks never dirtied stay
-  // at the base values just read, exactly as in a full replay. Per-block
-  // CRCs still verify inside apply_delta_blocks.
+  // The kept delta blocks that touch the sections, oldest link first.
+  // A block that reaches past the sections lands there too; partial
+  // restore adopts the survivors' sections afterwards, which overwrites
+  // every byte outside the lost ones. Per-block CRCs verify inside
+  // apply_delta_blocks.
   const ArrayStreamer streamer(&storage_, load_, target_chunk_bytes_,
                                jitter_, recorder_);
-  for (std::size_t g = 1; g < links.size(); ++g) {
-    const DeltaLink link = open_delta_link(storage_, links[g], array);
+  for (const DeltaLink& link : plan.links) {
     std::vector<DeltaBlockRecord> touching;
     for (const DeltaBlockRecord& rec : link.records) {
       const Slice& block =

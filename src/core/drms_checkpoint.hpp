@@ -128,9 +128,13 @@ class DrmsCheckpoint {
 
   /// COLLECTIVE: load one array's data from the checkpoint into its
   /// (already installed) distribution. Adds to timing.arrays_seconds.
-  /// When `meta` names a delta generation, the whole chain is replayed:
-  /// the full base streams in first, then every delta's stored blocks are
-  /// decoded and scattered oldest-first (newest wins per block).
+  /// When `meta` names a delta generation, its chain is replayed so that
+  /// each stream byte is read once, from the newest link that holds it:
+  /// the full base streams in whole (stream CRC checked) only if some
+  /// byte is held by no delta, then each delta record that no newer link
+  /// fully covers is read, checked against its stored and raw CRCs, and
+  /// scattered, oldest link first. Superseded blocks are not read, so
+  /// not checked either; verify_checkpoint(deep) walks every link.
   void restore_array(rt::TaskContext& ctx, const std::string& prefix,
                      const CheckpointMeta& meta, DistArray& array,
                      RestartTiming& timing);
@@ -140,8 +144,10 @@ class DrmsCheckpoint {
   /// under `prefix` into the array's current distribution. The checkpoint
   /// file is the column-major element stream of the global box, so each
   /// section decomposes into stream-contiguous runs read at computed byte
-  /// offsets; delta generations replay only the chain blocks that touch
-  /// the sections. No whole-stream CRC is checkable on a subset read —
+  /// offsets; delta generations read the base's runs that no delta fully
+  /// holds, then restore_array's kept blocks that touch the sections (a
+  /// block reaching past them lands there too, for the caller to
+  /// overwrite). No whole-stream CRC is checkable on a subset read —
   /// callers deep-verify the generation first (the supervisor's verify
   /// phase does); delta blocks keep their per-block CRC checks. With an
   /// attached I/O session the reads are submitted as RESTORE-class items.

@@ -138,8 +138,8 @@ class ArrayStreamer {
   /// COLLECTIVE: the restore inverse — read each indexed block's stored
   /// bytes, verify + decode on a background worker (overlapping the
   /// previous round's scatter exchange), and scatter the raw block into
-  /// the array's current distribution. Applying records newer than the
-  /// base naturally overwrites older bytes (newest wins per block).
+  /// the array's current distribution. The records must name distinct
+  /// blocks; a later call overwrites what an earlier one landed.
   void apply_delta_blocks(rt::TaskContext& ctx, DistArray& array,
                           const StreamPlan& blocks,
                           const std::vector<DeltaBlockRecord>& records,

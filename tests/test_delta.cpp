@@ -1,13 +1,16 @@
 // Tests for block-level delta generations: the block codecs (known-answer
 // + property tests mirroring the CRC suite, and seeded mutations of real
-// streams), the delta file's header and index checks, the runtime dirty
-// tracking, the chained write/restore path, and the chain-aware catalog
-// (GC keeps a base alive while a kept delta depends on it; fsck reports a
-// delta whose base is gone as torn).
+// streams), the delta file's header and index checks (and seeded
+// mutations of real files), the runtime dirty tracking, the chained
+// write/restore path (a restart reads each block once, from the newest
+// link that holds it), and the chain-aware catalog (GC keeps a base alive
+// while a kept delta depends on it; fsck reports a delta whose base is
+// gone as torn).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -19,7 +22,9 @@
 #include "core/checkpoint_format.hpp"
 #include "core/delta_format.hpp"
 #include "core/drms_context.hpp"
+#include "core/partial_restore.hpp"
 #include "core/streamer.hpp"
+#include "obs/instrumented_backend.hpp"
 #include "rt/task_group.hpp"
 #include "store/memory_backend.hpp"
 #include "support/block_codec.hpp"
@@ -470,6 +475,39 @@ TEST(DeltaFormat, RecordRawSizeOutsideTheBlockTargetIsRejected) {
   }
 }
 
+TEST(DeltaFormat, RepeatedOrDescendingBlockIndexIsRejected) {
+  // Two CRC-consistent records over a two-block file: restore takes a
+  // block at most once per file, so the index must name blocks in
+  // strictly ascending order. The ascending pair is the control.
+  for (const auto& [first, second] :
+       {std::pair<std::uint64_t, std::uint64_t>{0, 1}, {1, 1}, {1, 0}}) {
+    OneBlockDelta d;
+    d.header.total_blocks = 2;
+    d.header.record_count = 2;
+    DeltaBlockRecord a = d.record;
+    a.block_index = first;
+    DeltaBlockRecord b = d.record;
+    b.block_index = second;
+    drms::store::MemoryBackend storage;
+    const drms::store::FileHandle file =
+        write_delta_file(storage, "d", d.header, d.payload,
+                         encode_delta_index({a, b}).bytes());
+    const DeltaFileHeader h = read_delta_header(file, "d");
+    if (first < second) {
+      EXPECT_EQ(read_delta_index(file, h, "d").size(), 2u);
+      continue;
+    }
+    try {
+      (void)read_delta_index(file, h, "d");
+      ADD_FAILURE() << "blocks " << first << ", " << second << " accepted";
+    } catch (const support::CorruptCheckpoint& e) {
+      EXPECT_NE(std::string(e.what()).find("repeats or reorders a block"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(DeltaFormat, RawAndEncodedBlocksReadBackAndVerify) {
   // Tagged values (LZ shrinks them) in the z < 4 half of an 8^3 array,
   // large random integers (stored raw) in the rest, in 512-byte blocks.
@@ -650,10 +688,13 @@ TEST(DeltaTracking, CollectDirtyBlocksIsPrecise) {
   EXPECT_EQ(collect_dirty_blocks(array, plan.chunks).size(), 8u);
 }
 
-/// One-array app under delta mode: checkpoints at every even iteration
-/// under per-generation prefixes "<stem>.g<k>"; mutates one plane of the
-/// array each iteration through the precise write path.
+/// Three-array app under delta mode: checkpoints at every even iteration
+/// under per-generation prefixes "<stem>.g<k>". Each iteration rewrites
+/// `hot` whole and one plane of `u`, both through the precise write path;
+/// `cold` is never written after the first generation.
 struct DeltaApp {
+  static constexpr std::array<const char*, 3> kArrays{"u", "cold", "hot"};
+
   static void run(DrmsProgram& program, TaskContext& ctx, int iterations,
                   const std::string& stem) {
     DrmsContext drms(program, ctx);
@@ -665,16 +706,19 @@ struct DeltaApp {
     const std::array<Index, 3> hi{kN - 1, kN - 1, kN - 1};
     DistArray& u = drms.create_array("u", lo, hi);
     DistArray& cold = drms.create_array("cold", lo, hi);
+    DistArray& hot = drms.create_array("hot", lo, hi);
     const DistSpec spec = DistSpec::block_auto(
         cube(kN), ctx.size(), std::vector<Index>(3, 0));
     drms.distribute(u, spec);
     drms.distribute(cold, spec);
+    drms.distribute(hot, spec);
 
     if (!drms.restarted()) {
       const Slice& mine = spec.assigned(ctx.rank());
       mine.for_each_column_major([&](std::span<const Index> p) {
         u.local(ctx.rank()).set_f64(p, tag_of(p));
         cold.local(ctx.rank()).set_f64(p, 3.0 * tag_of(p));
+        hot.local(ctx.rank()).set_f64(p, tag_of(p));
       });
       ctx.barrier();
     }
@@ -683,19 +727,38 @@ struct DeltaApp {
       if (it > 0 && it % 2 == 0) {
         (void)drms.reconfig_checkpoint(stem + ".g" + std::to_string(it));
       }
-      // Touch only the global z == 0 plane — a task-count-independent
+      // Touch only the global z == 0 plane of u — a task-count-independent
       // mutation (each task scales whatever part of the plane it owns),
-      // recorded precisely by the set_f64 hook.
+      // recorded precisely by the set_f64 hook — and every element of hot.
       const Slice& mine = u.distribution().assigned(ctx.rank());
       mine.for_each_column_major([&](std::span<const Index> p) {
         if (p[2] == 0) {
           u.local(ctx.rank())
               .set_f64(p, u.local(ctx.rank()).get_f64(p) * 1.01);
         }
+        hot.local(ctx.rank())
+            .set_f64(p, hot.local(ctx.rank()).get_f64(p) + 1.0);
       });
       ctx.barrier();
       ++it;
     }
+  }
+
+  /// The value of `name` at p in the state checkpointed at iteration `it`.
+  static double value_at(const std::string& name, std::span<const Index> p,
+                         int it) {
+    if (name == "cold") {
+      return 3.0 * tag_of(p);
+    }
+    double v = tag_of(p);
+    for (int i = 0; i < it; ++i) {
+      if (name == "hot") {
+        v += 1.0;
+      } else if (p[2] == 0) {
+        v *= 1.01;
+      }
+    }
+    return v;
   }
 };
 
@@ -721,6 +784,82 @@ DrmsEnv delta_env(Volume& volume, int full_every_k,
   env.delta_block_bytes = 512;  // 8 stream blocks over the 8^3 array
   env.restart_prefix = restart;
   return env;
+}
+
+/// Runs DeltaApp on 4 tasks to iteration 9: g2 full, then the depth-3
+/// chain of deltas g4, g6 and g8.
+bool write_chain(Volume& volume) {
+  DrmsProgram program("dc", delta_env(volume, 4), tiny_segment(), 4);
+  TaskGroup group(placement_of(4));
+  return group
+      .run([&](TaskContext& ctx) { DeltaApp::run(program, ctx, 9, "dc"); })
+      .completed;
+}
+
+std::vector<DeltaBlockRecord> index_of(Volume& volume,
+                                       const std::string& file_name) {
+  const drms::store::FileHandle file = volume.open(file_name);
+  return read_delta_index(file, read_delta_header(file, file_name),
+                          file_name);
+}
+
+/// A restart of DeltaApp from the chain tip dc.g8 on 6 tasks, and the
+/// number of restored elements that differ from the failure-free state.
+struct TipRestart {
+  drms::rt::TaskGroupResult run;
+  int mismatches = 0;
+};
+
+TipRestart restart_from_tip(Volume& volume,
+                            drms::store::StorageBackend& storage) {
+  DrmsEnv env = delta_env(volume, 4, "dc.g8");
+  env.storage = &storage;
+  DrmsProgram program("dc", env, tiny_segment(), 6);
+  TaskGroup group(placement_of(6));
+  TipRestart restart;
+  restart.run = group.run([&](TaskContext& ctx) {
+    DeltaApp::run(program, ctx, 8, "dc");  // resumes at 8: no step runs
+    if (ctx.rank() == 0) {
+      DrmsContext view(program, ctx);
+      for (const char* name : DeltaApp::kArrays) {
+        DistArray& a = view.array(name);
+        cube(kN).for_each_column_major([&](std::span<const Index> p) {
+          restart.mismatches += a.get_f64(p) != DeltaApp::value_at(name, p, 8);
+        });
+      }
+    }
+  });
+  return restart;
+}
+
+/// Bytes an InstrumentedBackend saw read from `file`, counting only the
+/// part of each read inside [lo, hi).
+std::uint64_t bytes_read(const drms::obs::Recorder& rec,
+                         const std::string& file, std::uint64_t lo = 0,
+                         std::uint64_t hi = UINT64_MAX) {
+  std::uint64_t total = 0;
+  for (const drms::obs::SpanRecord& s : rec.spans()) {
+    const drms::obs::Attr* name = s.attr("file");
+    if (s.category != "store" || s.name != "read_at" || name == nullptr ||
+        name->text != file) {
+      continue;
+    }
+    const auto begin = static_cast<std::uint64_t>(s.attr_num("offset"));
+    const auto end = begin + static_cast<std::uint64_t>(s.attr_num("bytes"));
+    if (std::min(end, hi) > std::max(begin, lo)) {
+      total += std::min(end, hi) - std::max(begin, lo);
+    }
+  }
+  return total;
+}
+
+/// Payload bytes read from a delta file: its reads between the header and
+/// the index.
+std::uint64_t payload_read(const drms::obs::Recorder& rec, Volume& volume,
+                           const std::string& file_name) {
+  const drms::store::FileHandle file = volume.open(file_name);
+  return bytes_read(rec, file_name, wire::kDeltaHeaderBytes,
+                    read_delta_header(file, file_name).index_offset);
 }
 
 TEST(DeltaChain, GenerationsAlternatePerPolicy) {
@@ -910,6 +1049,370 @@ TEST(DeltaChain, BrokenBaseMakesDeltaTorn) {
     }
   }
   EXPECT_TRUE(flagged);
+}
+
+TEST(DeltaFormat, MutatedHeadersAndIndexesParseOrThrowTyped) {
+  // Seeded mutations of the 64-byte header and of the index frame of
+  // the delta files a DeltaApp chain writes (per link: hot 8 records, u
+  // 1, cold none). Each input must parse or throw CorruptCheckpoint, and
+  // a parse it accepts must give restore what it relies on: strictly
+  // ascending block indexes below total_blocks, raw sizes within the
+  // block target, and payload ranges inside the payload. A mutated index
+  // body is reframed with its CRC, so the record checks are reached.
+  Volume volume(16);
+  ASSERT_TRUE(write_chain(volume));
+  struct Seed {
+    std::vector<std::byte> bytes;
+    std::size_t index_offset = 0;
+  };
+  std::vector<Seed> corpus;
+  for (const int g : {4, 6, 8}) {
+    for (const char* name : DeltaApp::kArrays) {
+      const std::string file_name =
+          delta_array_file_name("dc.g" + std::to_string(g), name);
+      const drms::store::FileHandle file = volume.open(file_name);
+      corpus.push_back(
+          {file.read_at(0, file.size()),
+           static_cast<std::size_t>(
+               read_delta_header(file, file_name).index_offset)});
+    }
+  }
+
+  std::uint64_t accepted = 0;
+  std::uint64_t rejected = 0;
+  drms::store::MemoryBackend storage;
+  const auto check = [&](const std::vector<std::byte>& bytes) {
+    drms::store::FileHandle file = storage.create("m");
+    if (!bytes.empty()) {
+      file.write_at(0, bytes);
+    }
+    DeltaFileHeader h;
+    std::vector<DeltaBlockRecord> records;
+    try {
+      h = read_delta_header(file, "m");
+      records = read_delta_index(file, h, "m");
+    } catch (const support::CorruptCheckpoint&) {
+      ++rejected;
+      return;
+    }
+    ++accepted;
+    EXPECT_EQ(records.size(), h.record_count);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const DeltaBlockRecord& r = records[i];
+      EXPECT_LT(r.block_index, h.total_blocks);
+      if (i > 0) {
+        EXPECT_GT(r.block_index, records[i - 1].block_index);
+      }
+      EXPECT_GT(r.raw_bytes, 0u);
+      EXPECT_LE(r.raw_bytes, h.block_bytes);
+      ASSERT_LE(r.stored_bytes, h.payload_bytes);
+      EXPECT_LE(r.payload_offset, h.payload_bytes - r.stored_bytes);
+    }
+  };
+
+  std::mt19937_64 rng(0x64656c7461);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  for (const Seed& seed : corpus) {
+    check(seed.bytes);
+    const std::size_t body = seed.index_offset + 4 + 8;  // after crc, size
+    for (int k = 0; k < 400; ++k) {
+      std::vector<std::byte> m = seed.bytes;
+      const bool header = k % 2 == 0;
+      const std::size_t lo = header ? 0 : seed.index_offset;
+      const std::size_t hi = header ? wire::kDeltaHeaderBytes : m.size();
+      const std::size_t at = lo + pick(hi - lo);
+      switch (k / 2 % 5) {
+        case 0:
+          m[at] ^= static_cast<std::byte>(1u << pick(8));
+          break;
+        case 1:
+          m[at] = std::byte{0x00};
+          break;
+        case 2:
+          m[at] = std::byte{0xff};
+          break;
+        case 3:
+          m[at] = static_cast<std::byte>(rng());
+          break;
+        default:
+          m.resize(at);
+          break;
+      }
+      if (m.size() == seed.bytes.size() && at >= body) {
+        support::ByteBuffer crc;
+        crc.put_u32(support::crc32c(std::span(m).subspan(body)));
+        std::copy(crc.bytes().begin(), crc.bytes().end(),
+                  m.begin() + static_cast<std::ptrdiff_t>(seed.index_offset));
+      }
+      check(m);
+    }
+  }
+  // Both outcomes occur: the mutations reach past the first checks.
+  EXPECT_GT(accepted, 500u);
+  EXPECT_GT(rejected, 1000u);
+}
+
+TEST(DeltaChain, RestartReadsEachBlockOnceFromItsNewestLink) {
+  // DeltaApp's tip g8: hot's newest link holds every block, u's only the
+  // z == 0 plane block, cold's none. A restart reads each byte once, from
+  // the newest link that holds it: hot's base and older payloads are never
+  // read, u's base is read whole plus only the newest plane block.
+  Volume volume(16);
+  ASSERT_TRUE(write_chain(volume));
+  const auto delta = [](int g, const char* name) {
+    return delta_array_file_name("dc.g" + std::to_string(g), name);
+  };
+  const auto newest_payload = [&](const char* name) {
+    const drms::store::FileHandle file = volume.open(delta(8, name));
+    return read_delta_header(file, delta(8, name)).payload_bytes;
+  };
+  const std::vector<DeltaBlockRecord> plane = index_of(volume, delta(8, "u"));
+  ASSERT_EQ(plane.size(), 1u);
+  ASSERT_EQ(plane[0].block_index, 0u);
+  ASSERT_EQ(index_of(volume, delta(8, "hot")).size(), 8u);
+  const std::string base_u = array_file_name("dc.g2", "u");
+  const std::string base_hot = array_file_name("dc.g2", "hot");
+  const std::uint64_t array_bytes = kN * kN * kN * sizeof(double);
+  const auto expect_older_payloads_unread =
+      [&](const drms::obs::Recorder& rec) {
+        for (const char* name : {"u", "hot"}) {
+          EXPECT_EQ(payload_read(rec, volume, delta(4, name)), 0u) << name;
+          EXPECT_EQ(payload_read(rec, volume, delta(6, name)), 0u) << name;
+        }
+      };
+
+  {
+    drms::obs::Recorder rec;
+    drms::obs::InstrumentedBackend storage(volume.backend(), &rec, "pio");
+    const TipRestart restart = restart_from_tip(volume, storage);
+    ASSERT_TRUE(restart.run.completed) << restart.run.kill_reason;
+    EXPECT_EQ(restart.mismatches, 0);
+    EXPECT_EQ(bytes_read(rec, base_hot), 0u);
+    EXPECT_EQ(bytes_read(rec, base_u), array_bytes);
+    expect_older_payloads_unread(rec);
+    for (const char* name : {"u", "hot"}) {
+      EXPECT_EQ(payload_read(rec, volume, delta(8, name)),
+                newest_payload(name))
+          << name;
+    }
+  }
+
+  // A partial restart at 3 tasks of slot 0 of the 4-task checkpoint. u's
+  // base runs inside the newest plane block are skipped.
+  const Slice lost =
+      DistSpec::block_auto(cube(kN), 4, std::vector<Index>(3, 0)).assigned(0);
+  const std::uint64_t plane_end = kN * kN * sizeof(double);
+  std::uint64_t lost_bytes = 0;
+  std::uint64_t u_base_bytes = 0;
+  for (const StreamRun& run : stream_runs(cube(kN), lost, sizeof(double))) {
+    lost_bytes += run.bytes;
+    u_base_bytes += run.byte_offset + run.bytes > plane_end ? run.bytes : 0;
+  }
+  ASSERT_LT(u_base_bytes, lost_bytes);
+  drms::obs::Recorder rec;
+  drms::obs::InstrumentedBackend storage(volume.backend(), &rec, "pio");
+  const CheckpointMeta meta = read_checkpoint_meta(volume, "dc.g8");
+  DistArray u("u", cube(kN), sizeof(double), 3);
+  DistArray hot("hot", cube(kN), sizeof(double), 3);
+  std::array<std::uint64_t, 2> read{};
+  std::atomic<int> mismatches{0};
+  TaskGroup group(placement_of(3));
+  const auto run = group.run([&](TaskContext& ctx) {
+    const std::array<DistArray*, 2> arrays{&u, &hot};
+    if (ctx.rank() == 0) {
+      for (DistArray* a : arrays) {
+        a->install_distribution(
+            DistSpec::block_auto(cube(kN), 3, std::vector<Index>(3, 0)));
+      }
+    }
+    ctx.barrier();
+    DrmsCheckpoint engine(storage, {});
+    for (std::size_t i = 0; i < arrays.size(); ++i) {
+      DistArray& a = *arrays[i];
+      RestartTiming timing;
+      const std::uint64_t bytes = engine.restore_array_sections(
+          ctx, "dc.g8", meta, a, std::span(&lost, 1), timing);
+      if (ctx.rank() == 0) {
+        read[i] = bytes;
+      }
+      lost.intersect(a.distribution().assigned(ctx.rank()))
+          .for_each_column_major([&](std::span<const Index> p) {
+            mismatches += a.local(ctx.rank()).get_f64(p) !=
+                          DeltaApp::value_at(a.name(), p, 8);
+          });
+    }
+  });
+  ASSERT_TRUE(run.completed) << run.kill_reason;
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(bytes_read(rec, base_hot), 0u);
+  EXPECT_EQ(bytes_read(rec, base_u), u_base_bytes);
+  expect_older_payloads_unread(rec);
+  EXPECT_EQ(payload_read(rec, volume, delta(8, "u")), newest_payload("u"));
+  EXPECT_EQ(read[0], u_base_bytes + newest_payload("u"));
+  EXPECT_EQ(read[1], payload_read(rec, volume, delta(8, "hot")));
+}
+
+TEST(DeltaChain, RestartChecksEveryByteItKeeps) {
+  // Every byte a restart lands has passed a CRC; a byte it would
+  // overwrite is not read, and deep verify still walks every link.
+  Volume volume(16);
+  ASSERT_TRUE(write_chain(volume));
+  const auto tip = latest_checkpoint(volume, "dc");
+  ASSERT_TRUE(tip.has_value());
+  ASSERT_EQ(tip->prefix, "dc.g8");
+  const auto flip = [&](const std::string& file_name, std::uint64_t at) {
+    drms::store::FileHandle file = volume.open(file_name);
+    std::vector<std::byte> byte = file.read_at(at, 1);
+    byte[0] ^= std::byte{0x40};
+    file.write_at(at, byte);
+  };
+  const auto fails_with = [&](const std::string& message) {
+    const TipRestart restart = restart_from_tip(volume, volume.backend());
+    EXPECT_FALSE(restart.run.completed);
+    EXPECT_NE(restart.run.kill_reason.find(message), std::string::npos)
+        << restart.run.kill_reason;
+  };
+
+  // The newest link's u block lands: its stored CRC fails.
+  const std::string newest = delta_array_file_name("dc.g8", "u");
+  const DeltaBlockRecord block = index_of(volume, newest).at(0);
+  const std::uint64_t in_block =
+      wire::kDeltaHeaderBytes + block.payload_offset + 5;
+  flip(newest, in_block);
+  fails_with("delta block " + std::to_string(block.block_index) +
+             ": stored CRC mismatch");
+  flip(newest, in_block);
+
+  // u's base is read whole: its stream CRC fails.
+  const std::string base = array_file_name("dc.g2", "u");
+  flip(base, 1000);
+  fails_with("stream CRC mismatch");
+  flip(base, 1000);
+
+  // An older link's u block, which the newest link supersedes, is not
+  // read: the restart stays bit-exact, and deep verify reports the file.
+  const std::string older = delta_array_file_name("dc.g6", "u");
+  flip(older, in_block);
+  const TipRestart restart = restart_from_tip(volume, volume.backend());
+  ASSERT_TRUE(restart.run.completed) << restart.run.kill_reason;
+  EXPECT_EQ(restart.mismatches, 0);
+  const VerifyResult verify = verify_checkpoint(volume, *tip, /*deep=*/true);
+  EXPECT_FALSE(verify.ok);
+  EXPECT_TRUE(std::any_of(verify.problems.begin(), verify.problems.end(),
+                          [&](const std::string& p) {
+                            return p.find(older) != std::string::npos;
+                          }));
+}
+
+TEST(DeltaChain, LinksWithDifferentBlockTargetsRestoreExactly) {
+  // A full base, then deltas with 256-, 1024- and 512-byte blocks over
+  // the 4096-byte stream of an 8^3 array of doubles. Block indexes name
+  // different bytes in each grid: the 256-byte link's block 7 is bytes
+  // [1792, 2048) and the 512-byte link's block 7 is [3584, 4096); the
+  // 1024-byte link's block 0 reaches past the 512-byte link's block 0,
+  // [0, 512), so it must still land before it.
+  struct Link {
+    std::uint64_t block_bytes;
+    std::vector<std::pair<std::array<Index, 3>, double>> points;
+    std::vector<std::uint64_t> blocks;
+  };
+  const std::vector<Link> links = {
+      {512, {}, {}},
+      {256, {{{0, 4, 3}, 1000.5}}, {7}},                     // byte 1792
+      {1024, {{{3, 1, 1}, 2000.5}}, {0}},                    // byte 600
+      {512, {{{0, 0, 0}, 3000.5}, {{0, 0, 7}, 3001.5}}, {0, 7}},
+  };
+  const auto expected = [&](std::span<const Index> p) {
+    double v = tag_of(p);
+    for (const Link& link : links) {
+      for (const auto& [q, value] : link.points) {
+        if (std::equal(q.begin(), q.end(), p.begin(), p.end())) {
+          v = value;
+        }
+      }
+    }
+    return v;
+  };
+  const auto prefix = [](std::size_t g) {
+    return "bt.g" + std::to_string(g);
+  };
+
+  drms::store::MemoryBackend storage;
+  DistArray written("u", cube(kN), sizeof(double), 2);
+  written.enable_dirty_tracking();
+  DeltaChainState chain;
+  TaskGroup writers(placement_of(2));
+  const auto write = writers.run([&](TaskContext& ctx) {
+    if (ctx.rank() == 0) {
+      written.install_distribution(
+          DistSpec::block_auto(cube(kN), 2, std::vector<Index>(3, 0)));
+    }
+    ctx.barrier();
+    drms::test::fill_assigned_tagged(written, ctx.rank());
+    DrmsCheckpoint engine(storage, {});
+    for (std::size_t g = 0; g < links.size(); ++g) {
+      const Slice& mine = written.distribution().assigned(ctx.rank());
+      for (const auto& [q, value] : links[g].points) {
+        if (mine.contains(q)) {
+          written.local(ctx.rank()).set_f64(q, value);
+        }
+      }
+      ctx.barrier();
+      auto it = static_cast<std::int64_t>(g);
+      ReplicatedStore store;
+      store.register_i64("it", &it);
+      DeltaOptions options;
+      options.block_bytes = links[g].block_bytes;
+      const std::array<DistArray*, 1> arrays{&written};
+      (void)engine.write(ctx, prefix(g), "bt", it, store, arrays,
+                         tiny_segment(), &options, &chain);
+    }
+  });
+  ASSERT_TRUE(write.completed) << write.kill_reason;
+  for (std::size_t g = 1; g < links.size(); ++g) {
+    const std::string name = delta_array_file_name(prefix(g), "u");
+    const drms::store::FileHandle file = storage.open(name);
+    std::vector<std::uint64_t> blocks;
+    for (const DeltaBlockRecord& r :
+         read_delta_index(file, read_delta_header(file, name), name)) {
+      blocks.push_back(r.block_index);
+    }
+    EXPECT_EQ(blocks, links[g].blocks) << name;
+  }
+
+  // Restore the tip at 3 tasks, whole and as one section spanning the box.
+  const CheckpointMeta meta = read_checkpoint_meta(storage, prefix(3));
+  ASSERT_EQ(meta.chain_depth, 3);
+  DistArray whole("u", cube(kN), sizeof(double), 3);
+  DistArray sections("u", cube(kN), sizeof(double), 3);
+  std::atomic<int> mismatches{0};
+  TaskGroup readers(placement_of(3));
+  const auto read = readers.run([&](TaskContext& ctx) {
+    const std::array<DistArray*, 2> arrays{&whole, &sections};
+    if (ctx.rank() == 0) {
+      for (DistArray* a : arrays) {
+        a->install_distribution(
+            DistSpec::block_auto(cube(kN), 3, std::vector<Index>(3, 0)));
+      }
+    }
+    ctx.barrier();
+    DrmsCheckpoint engine(storage, {});
+    RestartTiming timing;
+    engine.restore_array(ctx, prefix(3), meta, whole, timing);
+    const Slice box = cube(kN);
+    (void)engine.restore_array_sections(ctx, prefix(3), meta, sections,
+                                        std::span(&box, 1), timing);
+    for (DistArray* a : arrays) {
+      a->distribution().assigned(ctx.rank()).for_each_column_major(
+          [&](std::span<const Index> p) {
+            mismatches += a->local(ctx.rank()).get_f64(p) != expected(p);
+          });
+    }
+  });
+  ASSERT_TRUE(read.completed) << read.kill_reason;
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

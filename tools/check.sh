@@ -130,7 +130,8 @@ fi
 # non-zero if the sharded I/O scheduler fails its 2x multi-tenant
 # throughput gate or restores regress behind queued drains; bench_delta
 # exits non-zero unless delta generations cut bytes written by >= 30%
-# (and checkpoint time measurably) with a bit-exact chain restore
+# (and checkpoint time measurably) with a bit-exact chain restore that
+# reads fewer storage bytes than replaying every link would
 # (virtual-time model, so sanitizer/host speed cannot skew it);
 # bench_adaptive exits non-zero unless the adaptive interval controller
 # strictly beats the fixed paper interval (DRMS fleet efficiency) in at

@@ -296,9 +296,10 @@ int cmd_restart_plan(const std::string& dir, const std::string& prefix,
               << " (canonical block distribution)\n";
     if (r.meta.kind == core::GenerationKind::kDelta) {
       std::cout << "delta generation (chain depth " << r.meta.chain_depth
-                << "): run offsets address the reconstructed stream — the "
-                   "chain base's ranges are read, then the chain's blocks "
-                   "touching them are replayed\n";
+                << "): run offsets address the reconstructed stream — each "
+                   "byte is read once, from the newest chain link that "
+                   "holds it: the newest blocks touching the ranges, and "
+                   "the base's runs no delta holds\n";
     }
     std::uint64_t partial_total = 0;
     std::uint64_t full_total = 0;
