@@ -394,7 +394,9 @@ std::vector<PlainResult> bench_checkpoint(int reps) {
       core::RestartTiming timing;
       const core::CheckpointMeta meta =
           engine.restore_segment(ctx, "bench/ckpt", store, segment, timing);
-      engine.restore_array(ctx, "bench/ckpt", meta, array, timing);
+      const core::CheckpointChain chain =
+          core::resolve_checkpoint_chain(backend, "bench/ckpt", meta);
+      engine.restore_array(ctx, meta, chain, array, timing);
     };
     restore_once();  // warm-up
     ctx.barrier();
@@ -458,7 +460,9 @@ void trace_checkpoint(const std::string& path) {
     core::RestartTiming timing;
     const core::CheckpointMeta meta =
         engine.restore_segment(ctx, "bench/trace", store, segment, timing);
-    engine.restore_array(ctx, "bench/trace", meta, array, timing);
+    const core::CheckpointChain chain =
+        core::resolve_checkpoint_chain(backend, "bench/trace", meta);
+    engine.restore_array(ctx, meta, chain, array, timing);
   });
   if (!result.completed) {
     std::cerr << "FATAL: traced checkpoint group did not complete\n";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "core/checkpoint_format.hpp"
 #include "support/crc32.hpp"
@@ -182,9 +183,14 @@ std::vector<std::uint64_t> collect_dirty_blocks(
   return out;
 }
 
-std::vector<std::string> resolve_checkpoint_chain(
-    const store::StorageBackend& storage, const std::string& prefix) {
-  std::vector<std::string> chain;
+namespace {
+
+/// Walks the chain from `prefix` to its full base. `tip`, when set, is
+/// prefix's meta, already read.
+CheckpointChain walk_chain(const store::StorageBackend& storage,
+                           const std::string& prefix,
+                           const CheckpointMeta* tip) {
+  CheckpointChain chain;
   std::set<std::string> seen;
   std::string cur = prefix;
   for (int depth = 0; depth < wire::kMaxChainDepth; ++depth) {
@@ -197,16 +203,35 @@ std::vector<std::string> resolve_checkpoint_chain(
                                        "' of checkpoint '" + prefix +
                                        "' is not committed");
     }
-    const CheckpointMeta meta = read_checkpoint_meta(storage, cur);
-    chain.push_back(cur);
+    CheckpointMeta meta = depth == 0 && tip != nullptr
+                              ? *tip
+                              : read_checkpoint_meta(storage, cur);
+    chain.prefixes.push_back(cur);
     if (meta.kind == GenerationKind::kFull) {
-      std::reverse(chain.begin(), chain.end());
+      std::reverse(chain.prefixes.begin(), chain.prefixes.end());
+      chain.base = std::move(meta);
       return chain;
     }
     cur = meta.base_prefix;
   }
   throw support::CorruptCheckpoint("checkpoint chain at '" + prefix +
                                    "' exceeds the depth bound");
+}
+
+}  // namespace
+
+std::vector<std::string> resolve_checkpoint_chain(
+    const store::StorageBackend& storage, const std::string& prefix) {
+  return walk_chain(storage, prefix, nullptr).prefixes;
+}
+
+CheckpointChain resolve_checkpoint_chain(const store::StorageBackend& storage,
+                                         const std::string& prefix,
+                                         const CheckpointMeta& meta) {
+  if (meta.kind == GenerationKind::kFull) {
+    return {{prefix}, meta};
+  }
+  return walk_chain(storage, prefix, &meta);
 }
 
 bool verify_delta_file(const store::StorageBackend& storage,

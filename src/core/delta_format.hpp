@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "core/checkpoint_format.hpp"
 #include "core/dist_array.hpp"
 #include "store/storage_backend.hpp"
 #include "support/block_codec.hpp"
@@ -93,6 +94,23 @@ struct DeltaFileHeader {
 /// deeper than wire::kMaxChainDepth.
 [[nodiscard]] std::vector<std::string> resolve_checkpoint_chain(
     const store::StorageBackend& storage, const std::string& prefix);
+
+/// The generations a restart of `prefix` replays, and the base's meta.
+struct CheckpointChain {
+  /// Base first; back() is the restored generation.
+  std::vector<std::string> prefixes;
+  /// Meta of prefixes.front(), the full generation.
+  CheckpointMeta base;
+};
+
+/// The chain a restart replays, resolved once per restart and shared by
+/// every array's restore. `meta` is the restored generation's own meta,
+/// already read. A full generation is its own chain and reads nothing; a
+/// delta generation's chain is walked as resolve_checkpoint_chain does,
+/// with the same checks, reading each other member's meta once.
+[[nodiscard]] CheckpointChain resolve_checkpoint_chain(
+    const store::StorageBackend& storage, const std::string& prefix,
+    const CheckpointMeta& meta);
 
 /// Offline integrity check of one delta file: header/index structure and
 /// sizes always; with `deep`, every stored block is read back, checked

@@ -119,7 +119,8 @@ DeltaLink open_delta_link(const store::StorageBackend& storage,
 /// links cover in part lands before they overwrite that part, whatever
 /// block target each link was written with. Every task plans for itself
 /// from the same shared metadata, which keeps the collective apply
-/// aligned; every link's header and index is read and checked.
+/// aligned; every link's header and index is read and checked. The
+/// chain and its base meta come resolved once per restart.
 struct ReplayPlan {
   std::string base;
   std::uint32_t base_crc = 0;
@@ -130,21 +131,14 @@ struct ReplayPlan {
 };
 
 ReplayPlan plan_replay(const store::StorageBackend& storage,
-                       const std::string& prefix, const CheckpointMeta& meta,
-                       const DistArray& array) {
-  if (meta.kind == GenerationKind::kFull) {
-    return {prefix, meta.array(array.name()).stream_crc, {}, {}};
-  }
-  const std::vector<std::string> chain =
-      resolve_checkpoint_chain(storage, prefix);
-  const CheckpointMeta base_meta = read_checkpoint_meta(storage, chain.front());
-  const ArrayMeta& base_am = base_meta.array(array.name());
+                       const CheckpointChain& chain, const DistArray& array) {
+  const ArrayMeta& base_am = chain.base.array(array.name());
   DRMS_EXPECTS_MSG(base_am.box() == array.global_box() &&
                        base_am.elem_size == array.elem_size(),
                    "chain base array shape does not match declaration");
-  ReplayPlan plan{chain.front(), base_am.stream_crc, {}, {}};
-  for (std::size_t g = 1; g < chain.size(); ++g) {
-    plan.links.push_back(open_delta_link(storage, chain[g], array));
+  ReplayPlan plan{chain.prefixes.front(), base_am.stream_crc, {}, {}};
+  for (std::size_t g = 1; g < chain.prefixes.size(); ++g) {
+    plan.links.push_back(open_delta_link(storage, chain.prefixes[g], array));
   }
   // A link's records hold disjoint blocks (the index is strictly
   // ascending), so adding each one as it is checked leaves the check
@@ -524,8 +518,8 @@ CheckpointMeta DrmsCheckpoint::restore_segment(
 }
 
 void DrmsCheckpoint::restore_array(rt::TaskContext& ctx,
-                                   const std::string& prefix,
                                    const CheckpointMeta& meta,
+                                   const CheckpointChain& chain,
                                    DistArray& array, RestartTiming& timing) {
   DRMS_EXPECTS_MSG(array.distributed(),
                    "specify a distribution before loading an array");
@@ -547,7 +541,7 @@ void DrmsCheckpoint::restore_array(rt::TaskContext& ctx,
   // The base streams in whole, so its stream CRC is checked, unless the
   // chain's deltas hold every byte; then the kept delta blocks scatter
   // on top, oldest link first.
-  const ReplayPlan plan = plan_replay(storage_, prefix, meta, array);
+  const ReplayPlan plan = plan_replay(storage_, chain, array);
   if (!plan.held.covers(0, array.global_byte_count())) {
     const store::FileHandle base_file =
         storage_.open(array_file_name(plan.base, array.name()));
@@ -570,8 +564,8 @@ void DrmsCheckpoint::restore_array(rt::TaskContext& ctx,
 }
 
 std::uint64_t DrmsCheckpoint::restore_array_sections(
-    rt::TaskContext& ctx, const std::string& prefix,
-    const CheckpointMeta& meta, DistArray& array,
+    rt::TaskContext& ctx, const CheckpointMeta& meta,
+    const CheckpointChain& chain, DistArray& array,
     std::span<const Slice> sections, RestartTiming& timing) {
   DRMS_EXPECTS_MSG(array.distributed(),
                    "specify a distribution before loading an array");
@@ -627,7 +621,7 @@ std::uint64_t DrmsCheckpoint::restore_array_sections(
 
   // The base's runs are read unless the chain's deltas hold all of a
   // run's bytes; from here on total_bytes counts the bytes read.
-  const ReplayPlan plan = plan_replay(storage_, prefix, meta, array);
+  const ReplayPlan plan = plan_replay(storage_, chain, array);
   std::erase_if(chunks, [&](const StreamRun& c) {
     return plan.held.covers(c.byte_offset, c.byte_offset + c.bytes);
   });

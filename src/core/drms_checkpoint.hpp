@@ -17,6 +17,7 @@
 
 #include "core/checkpoint_format.hpp"
 #include "core/commit_session.hpp"
+#include "core/delta_format.hpp"
 #include "core/dist_array.hpp"
 #include "core/replicated_store.hpp"
 #include "obs/recorder.hpp"
@@ -126,8 +127,11 @@ class DrmsCheckpoint {
                                  const AppSegmentModel& segment_model,
                                  RestartTiming& timing);
 
-  /// COLLECTIVE: load one array's data from the checkpoint into its
-  /// (already installed) distribution. Adds to timing.arrays_seconds.
+  /// COLLECTIVE: load one array's data from the generation `meta`
+  /// describes into its (already installed) distribution. `chain` is
+  /// that generation's resolve_checkpoint_chain(storage, prefix, meta),
+  /// resolved once per restart for all arrays. Adds to
+  /// timing.arrays_seconds.
   /// When `meta` names a delta generation, its chain is replayed so that
   /// each stream byte is read once, from the newest link that holds it:
   /// the full base streams in whole (stream CRC checked) only if some
@@ -135,14 +139,15 @@ class DrmsCheckpoint {
   /// fully covers is read, checked against its stored and raw CRCs, and
   /// scattered, oldest link first. Superseded blocks are not read, so
   /// not checked either; verify_checkpoint(deep) walks every link.
-  void restore_array(rt::TaskContext& ctx, const std::string& prefix,
-                     const CheckpointMeta& meta, DistArray& array,
+  void restore_array(rt::TaskContext& ctx, const CheckpointMeta& meta,
+                     const CheckpointChain& chain, DistArray& array,
                      RestartTiming& timing);
 
   /// COLLECTIVE: load ONLY `sections` (disjoint sub-slices of the array's
   /// global box — a partial restart's lost sections) from the generation
-  /// under `prefix` into the array's current distribution. The checkpoint
-  /// file is the column-major element stream of the global box, so each
+  /// `meta` and `chain` describe (as for restore_array) into the array's
+  /// current distribution. The checkpoint file is the column-major
+  /// element stream of the global box, so each
   /// section decomposes into stream-contiguous runs read at computed byte
   /// offsets; delta generations read the base's runs that no delta fully
   /// holds, then restore_array's kept blocks that touch the sections (a
@@ -154,8 +159,8 @@ class DrmsCheckpoint {
   /// Returns the bytes read from storage (identical on every task) and
   /// adds to timing.arrays_seconds.
   std::uint64_t restore_array_sections(rt::TaskContext& ctx,
-                                       const std::string& prefix,
                                        const CheckpointMeta& meta,
+                                       const CheckpointChain& chain,
                                        DistArray& array,
                                        std::span<const Slice> sections,
                                        RestartTiming& timing);

@@ -89,6 +89,8 @@ void DrmsContext::initialize() {
                           env.target_chunk_bytes, env.jitter, env.recorder);
     restart_meta_ = engine.restore_segment(ctx_, env.restart_prefix, store_,
                                            program_.segment_model_, timing);
+    restart_chain_ = resolve_checkpoint_chain(
+        *env.storage, env.restart_prefix, *restart_meta_);
   } else {
     SpmdCheckpoint engine(*env.storage, make_load_context(), env.jitter,
                           env.recorder);
@@ -180,7 +182,7 @@ void DrmsContext::distribute(DistArray& array, const DistSpec& spec) {
       partial_restore_array(engine, *env.partial, *ra, array, timing);
       partial_restored_ = true;
     } else {
-      engine.restore_array(ctx_, env.restart_prefix, *restart_meta_, array,
+      engine.restore_array(ctx_, *restart_meta_, restart_chain_, array,
                            timing);
     }
   } else {
@@ -227,7 +229,7 @@ void DrmsContext::partial_restore_array(DrmsCheckpoint& engine,
     }
   }
   const std::uint64_t read_bytes = engine.restore_array_sections(
-      ctx_, env.restart_prefix, *restart_meta_, array, lost, timing);
+      ctx_, *restart_meta_, restart_chain_, array, lost, timing);
 
   // (B) Survivor adoption: each surviving slot's retained section is
   // scattered into the new distribution's mapped slices, one adopter

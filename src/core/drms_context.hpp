@@ -269,6 +269,9 @@ class DrmsContext {
   bool partial_restored_ = false;
   std::int64_t sop_counter_ = 0;
   std::optional<CheckpointMeta> restart_meta_;
+  /// DRMS restarts: the chain restart_meta_'s generation replays,
+  /// resolved once with it and shared by every array's restore.
+  CheckpointChain restart_chain_;
   SpmdRestoreCursor spmd_cursor_;
   RestartTiming restart_timing_;
   /// Arrays whose checkpointed contents this task has loaded this run.

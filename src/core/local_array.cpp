@@ -17,9 +17,9 @@ LocalArray::LocalArray(Slice mapped, std::size_t elem_size)
     stride_[static_cast<std::size_t>(k)] = stride;
     stride *= mapped_.range(k).size();
   }
-  data_.assign(static_cast<std::size_t>(stride * static_cast<Index>(
-                                            elem_size_)),
-               std::byte{0});
+  data_ = support::PageBuffer(
+      static_cast<std::size_t>(stride * static_cast<Index>(elem_size_)),
+      support::PageBuffer::Init::kZeroed);
 }
 
 std::optional<std::uint64_t> LocalArray::offset_of(

@@ -1,7 +1,9 @@
 // Per-task storage for a mapped array section. Elements are laid out in
 // column-major order over the mapped slice's own index space, so the
 // canonical streaming chunks (whose mapped section IS the chunk) are
-// already in stream order in memory.
+// already in stream order in memory. Storage is zero-initialized and
+// comes from the process-wide page pool (support/page_pool.hpp) from one
+// 64 KiB unit up, from the system allocator below; copies are deep.
 #pragma once
 
 #include <cstddef>
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "core/slice.hpp"
+#include "support/page_pool.hpp"
 
 namespace drms::core {
 
@@ -133,7 +136,7 @@ class LocalArray {
   MutationLog* log_ = nullptr;
   /// Column-major strides in elements, per axis.
   std::vector<Index> stride_;
-  std::vector<std::byte> data_;
+  support::PageBuffer data_;
 };
 
 }  // namespace drms::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -16,11 +17,18 @@ void ExtentFile::write_at(std::uint64_t offset,
     const std::uint64_t in_block = pos % kBlockSize;
     const std::size_t n = static_cast<std::size_t>(
         std::min<std::uint64_t>(kBlockSize - in_block, data.size() - src));
-    auto& block = blocks_[block_index];
-    if (block.empty()) {
-      block.assign(kBlockSize, std::byte{0});
+    auto it = blocks_.lower_bound(block_index);
+    if (it == blocks_.end() || it->first != block_index) {
+      // Allocate before inserting, so a failed allocation leaves no
+      // empty block behind; clear only what this write leaves uncovered.
+      support::PageBuffer block(kBlockSize,
+                                support::PageBuffer::Init::kUninitialized);
+      std::memset(block.data(), 0, static_cast<std::size_t>(in_block));
+      std::memset(block.data() + in_block + n, 0,
+                  static_cast<std::size_t>(kBlockSize - in_block - n));
+      it = blocks_.emplace_hint(it, block_index, std::move(block));
     }
-    std::memcpy(block.data() + in_block, data.data() + src, n);
+    std::memcpy(it->second.data() + in_block, data.data() + src, n);
     pos += n;
     src += n;
   }

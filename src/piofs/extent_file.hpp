@@ -1,6 +1,8 @@
-// Sparse in-memory file storage. Data lives in fixed-size blocks allocated
-// on first write; unwritten regions read back as zeros, and zero-fill
-// writes (used to model the bulk private/system portions of a task's data
+// Sparse in-memory file storage. Data lives in 64 KiB blocks, each one
+// unit of the process-wide page pool (support/page_pool.hpp), allocated on
+// first write; a new block is cleared only where that write does not
+// cover it. Unwritten regions read back as zeros, and zero-fill writes
+// (used to model the bulk private/system portions of a task's data
 // segment) extend the file without allocating memory.
 #pragma once
 
@@ -9,12 +11,14 @@
 #include <span>
 #include <vector>
 
+#include "support/page_pool.hpp"
+
 namespace drms::piofs {
 
 class ExtentFile {
  public:
-  /// Block granularity of the sparse store.
-  static constexpr std::uint64_t kBlockSize = 64 * 1024;
+  /// Block granularity of the sparse store: one page-pool unit.
+  static constexpr std::uint64_t kBlockSize = support::PageBuffer::kUnit;
 
   void write_at(std::uint64_t offset, std::span<const std::byte> data);
 
@@ -41,7 +45,7 @@ class ExtentFile {
   void truncate();
 
  private:
-  std::map<std::uint64_t, std::vector<std::byte>> blocks_;
+  std::map<std::uint64_t, support::PageBuffer> blocks_;
   std::uint64_t size_ = 0;
 };
 

@@ -139,7 +139,9 @@ void restore_and_check(Volume& volume, int t2, Index n,
           DistSpec::block_auto(cube(n), t2, shadow));
     }
     ctx.barrier();
-    engine.restore_array(ctx, prefix, meta, array, timing);
+    engine.restore_array(ctx, meta,
+                         resolve_checkpoint_chain(volume, prefix, meta), array,
+                         timing);
     EXPECT_EQ(count_mapped_mismatches(array, ctx.rank()), 0);
   });
   ASSERT_TRUE(result.completed);
@@ -226,7 +228,9 @@ TEST(DrmsCheckpoint, MismatchedArrayDeclarationThrows) {
     }
     ctx.barrier();
     if (ctx.rank() == 0) {
-      EXPECT_THROW(engine.restore_array(ctx, "ck", meta, wrong, timing),
+      const CheckpointChain chain =
+          resolve_checkpoint_chain(volume, "ck", meta);
+      EXPECT_THROW(engine.restore_array(ctx, meta, chain, wrong, timing),
                    drms::support::ContractViolation);
     }
   });
@@ -258,7 +262,8 @@ TEST(DrmsCheckpoint, CorruptedArrayFileIsDetected) {
           DistSpec::block_auto(cube(8), 3, shadow));
     }
     ctx.barrier();
-    EXPECT_THROW(engine.restore_array(ctx, "ck", meta, array, timing),
+    const CheckpointChain chain = resolve_checkpoint_chain(volume, "ck", meta);
+    EXPECT_THROW(engine.restore_array(ctx, meta, chain, array, timing),
                  drms::support::CorruptCheckpoint);
   });
   EXPECT_TRUE(result.completed);
@@ -296,7 +301,9 @@ TEST(DrmsCheckpoint, AlternatingPrefixesSurviveATornCheckpoint) {
             cube(8), 4, std::vector<Index>(3, 0)));
       }
       ctx.barrier();
-      EXPECT_THROW(engine.restore_array(ctx, "even", meta, array, timing),
+      const CheckpointChain chain =
+          resolve_checkpoint_chain(volume, "even", meta);
+      EXPECT_THROW(engine.restore_array(ctx, meta, chain, array, timing),
                    drms::support::CorruptCheckpoint);
     });
     EXPECT_TRUE(result.completed);

@@ -853,6 +853,19 @@ std::uint64_t bytes_read(const drms::obs::Recorder& rec,
   return total;
 }
 
+/// `op` operations (open, read_at, ...) an InstrumentedBackend saw on
+/// `file`.
+int ops_on(const drms::obs::Recorder& rec, const std::string& file,
+           const std::string& op) {
+  int n = 0;
+  for (const drms::obs::SpanRecord& s : rec.spans()) {
+    const drms::obs::Attr* name = s.attr("file");
+    n += s.category == "store" && s.name == op && name != nullptr &&
+         name->text == file;
+  }
+  return n;
+}
+
 /// Payload bytes read from a delta file: its reads between the header and
 /// the index.
 std::uint64_t payload_read(const drms::obs::Recorder& rec, Volume& volume,
@@ -1197,6 +1210,20 @@ TEST(DeltaChain, RestartReadsEachBlockOnceFromItsNewestLink) {
                 newest_payload(name))
           << name;
     }
+    // The chain resolves once per task, not once per array: each of the 6
+    // tasks opens and reads every chain member's meta once. (The commit
+    // checks are exists() calls, which the decorator does not record.)
+    drms::obs::Recorder one;
+    drms::obs::InstrumentedBackend probe(volume.backend(), &one, "pio");
+    (void)read_checkpoint_meta(probe, "dc.g2");
+    const int reads_per_meta = ops_on(one, meta_file_name("dc.g2"), "read_at");
+    ASSERT_GT(reads_per_meta, 0);
+    for (const char* link : {"dc.g2", "dc.g4", "dc.g6", "dc.g8"}) {
+      EXPECT_EQ(ops_on(rec, meta_file_name(link), "open"), 6) << link;
+      EXPECT_EQ(ops_on(rec, meta_file_name(link), "read_at"),
+                6 * reads_per_meta)
+          << link;
+    }
   }
 
   // A partial restart at 3 tasks of slot 0 of the 4-task checkpoint. u's
@@ -1214,6 +1241,7 @@ TEST(DeltaChain, RestartReadsEachBlockOnceFromItsNewestLink) {
   drms::obs::Recorder rec;
   drms::obs::InstrumentedBackend storage(volume.backend(), &rec, "pio");
   const CheckpointMeta meta = read_checkpoint_meta(volume, "dc.g8");
+  const CheckpointChain chain = resolve_checkpoint_chain(volume, "dc.g8", meta);
   DistArray u("u", cube(kN), sizeof(double), 3);
   DistArray hot("hot", cube(kN), sizeof(double), 3);
   std::array<std::uint64_t, 2> read{};
@@ -1233,7 +1261,7 @@ TEST(DeltaChain, RestartReadsEachBlockOnceFromItsNewestLink) {
       DistArray& a = *arrays[i];
       RestartTiming timing;
       const std::uint64_t bytes = engine.restore_array_sections(
-          ctx, "dc.g8", meta, a, std::span(&lost, 1), timing);
+          ctx, meta, chain, a, std::span(&lost, 1), timing);
       if (ctx.rank() == 0) {
         read[i] = bytes;
       }
@@ -1400,9 +1428,11 @@ TEST(DeltaChain, LinksWithDifferentBlockTargetsRestoreExactly) {
     ctx.barrier();
     DrmsCheckpoint engine(storage, {});
     RestartTiming timing;
-    engine.restore_array(ctx, prefix(3), meta, whole, timing);
+    const CheckpointChain chain =
+        resolve_checkpoint_chain(storage, prefix(3), meta);
+    engine.restore_array(ctx, meta, chain, whole, timing);
     const Slice box = cube(kN);
-    (void)engine.restore_array_sections(ctx, prefix(3), meta, sections,
+    (void)engine.restore_array_sections(ctx, meta, chain, sections,
                                         std::span(&box, 1), timing);
     for (DistArray* a : arrays) {
       a->distribution().assigned(ctx.rank()).for_each_column_major(

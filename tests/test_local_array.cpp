@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 #include "core/local_array.hpp"
@@ -27,6 +28,36 @@ TEST(LocalArray, AllocationAndZeroInit) {
   EXPECT_EQ(a.byte_size(), 12 * sizeof(double));
   const std::array<Index, 2> p{3, 11};
   EXPECT_DOUBLE_EQ(a.get_f64(p), 0.0);
+
+  // Storage is recycled from released arrays (pool units from 64 KiB up,
+  // the heap below) and must still read zero. A kept array holds the
+  // pool's slab mapped while the pattern-filled ones are released.
+  const auto all_zero = [](const LocalArray& x) {
+    const auto b = x.bytes();
+    return std::all_of(b.begin(), b.end(),
+                       [](std::byte v) { return v == std::byte{0}; });
+  };
+  const Slice four_units = box2(0, 255, 0, 127);   // 256 KiB
+  const Slice two_units = box2(0, 255, 0, 63);     // 128 KiB
+  const Slice below_unit = box2(0, 9, 0, 19);      // 1600 B
+  for (const Slice* next : {&four_units, &two_units, &below_unit}) {
+    auto filled = std::make_unique<LocalArray>(
+        next == &below_unit ? below_unit : four_units, sizeof(double));
+    const LocalArray kept(box2(0, 127, 0, 63), sizeof(double));
+    std::memset(filled->bytes().data(), 0xA5, filled->byte_size());
+    filled.reset();
+    const LocalArray fresh(*next, sizeof(double));
+    EXPECT_TRUE(all_zero(fresh)) << fresh.byte_size() << " bytes";
+  }
+
+  // Copies are deep.
+  LocalArray original(four_units, sizeof(double));
+  original.as_f64()[7] = 2.5;
+  const LocalArray copy = original;
+  ASSERT_NE(copy.bytes().data(), std::as_const(original).bytes().data());
+  original.as_f64()[7] = -1.0;
+  EXPECT_DOUBLE_EQ(copy.as_f64()[7], 2.5);
+  EXPECT_EQ(copy.byte_size(), original.byte_size());
 }
 
 TEST(LocalArray, DefaultConstructedIsEmpty) {

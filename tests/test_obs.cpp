@@ -750,7 +750,9 @@ TEST(ObsProperty, ReconfiguredRoundTripKeepsCrcAndTilesEveryByteOnce) {
         const core::CheckpointMeta meta =
             engine.restore_segment(ctx, "prop.a", store, tiny_segment(),
                                    timing);
-        engine.restore_array(ctx, "prop.a", meta, array, timing);
+        const core::CheckpointChain chain =
+            core::resolve_checkpoint_chain(storage, "prop.a", meta);
+        engine.restore_array(ctx, meta, chain, array, timing);
         const std::size_t me = static_cast<std::size_t>(ctx.rank());
         mismatches[me] = count_mapped_mismatches(array, ctx.rank());
         restored_it[me] = it;

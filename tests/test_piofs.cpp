@@ -3,12 +3,15 @@
 // import/export.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <numeric>
+#include <optional>
 #include <thread>
 
 #include "piofs/extent_file.hpp"
 #include "piofs/volume.hpp"
+#include "store/memory_backend.hpp"
 #include "support/error.hpp"
 #include "support/units.hpp"
 
@@ -76,6 +79,108 @@ TEST(ExtentFile, CrossBlockWrites) {
   const auto data = pattern(ExtentFile::kBlockSize + 40);
   f.write_at(off, data);
   EXPECT_EQ(f.read_at(off, data.size()), data);
+}
+
+/// Fills three files block by block with 0xA5, so their page-pool units
+/// interleave: truncating or removing two of them leaves recycled units
+/// in slabs that the third keeps mapped.
+template <typename File>
+void fill_interleaved(File& kept, File& a, File& b) {
+  const std::vector<std::byte> fill(ExtentFile::kBlockSize, std::byte{0xA5});
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    for (File* f : {&kept, &a, &b}) {
+      f->write_at(i * ExtentFile::kBlockSize, fill);
+    }
+  }
+}
+
+void append_to(ExtentFile& f, std::span<const std::byte> data) {
+  f.write_at(f.size(), data);
+}
+template <typename Handle>
+void append_to(Handle& f, std::span<const std::byte> data) {
+  f.append(data);
+}
+
+/// Partial-block writes into a new file, mirrored into a byte model whose
+/// unwritten bytes are 0: a write at kBlockSize - 17 over blocks 0-2 (as
+/// CrossBlockWrites does), a short write across the 4|5 boundary that
+/// leaves block 3 a hole, zero fills inside written data and over a gap
+/// past the end, and an append that starts block 7. Touches six blocks.
+template <typename File>
+std::vector<std::byte> write_partial_blocks(File& f) {
+  constexpr std::uint64_t kB = ExtentFile::kBlockSize;
+  std::vector<std::byte> model;
+  const auto put = [&model](std::uint64_t off,
+                            const std::vector<std::byte>& data) {
+    model.resize(std::max<std::size_t>(model.size(), off + data.size()));
+    std::copy(data.begin(), data.end(),
+              model.begin() + static_cast<std::ptrdiff_t>(off));
+  };
+  const auto cross = pattern(kB + 40, 2);
+  f.write_at(kB - 17, cross);
+  put(kB - 17, cross);
+  const auto boundary = pattern(30, 3);
+  f.write_at(5 * kB - 9, boundary);
+  put(5 * kB - 9, boundary);
+  f.write_zeros_at(kB + 100, 200);
+  put(kB + 100, std::vector<std::byte>(200));
+  const std::uint64_t gap = f.size();
+  f.write_zeros_at(gap, 2 * kB);
+  put(gap, std::vector<std::byte>(2 * kB));
+  const std::uint64_t tail = f.size();
+  const auto appended = pattern(60, 4);
+  append_to(f, appended);
+  put(tail, appended);
+  return model;
+}
+
+TEST(ExtentFile, RecycledBlocksReadZerosOutsideWrites) {
+  ExtentFile kept;
+  ExtentFile truncated;
+  std::optional<ExtentFile> removed(std::in_place);
+  fill_interleaved(kept, truncated, *removed);
+  truncated.truncate();
+  removed.reset();
+
+  ExtentFile f;
+  const auto model = write_partial_blocks(f);
+  ASSERT_EQ(f.size(), model.size());
+  EXPECT_EQ(f.read_at(0, f.size()), model);
+  EXPECT_EQ(f.allocated_bytes(), 6 * ExtentFile::kBlockSize)
+      << "only the touched blocks hold storage";
+}
+
+TEST(ExtentFile, RecycledBlocksReadZerosThroughMemoryBackend) {
+  drms::store::MemoryBackend m;
+  auto kept = m.create("kept");
+  auto truncated = m.create("truncated");
+  auto removed = m.create("removed");
+  fill_interleaved(kept, truncated, removed);
+  removed = {};  // the last handle: removing now releases the blocks
+  m.remove("removed");
+  (void)m.create("truncated");
+
+  auto f = m.create("fresh");
+  const auto model = write_partial_blocks(f);
+  ASSERT_EQ(f.size(), model.size());
+  EXPECT_EQ(f.read_at(0, f.size()), model);
+}
+
+TEST(ExtentFile, RecycledBlocksReadZerosThroughVolume) {
+  Volume v(4);
+  auto kept = v.create("kept");
+  auto truncated = v.create("truncated");
+  auto removed = v.create("removed");
+  fill_interleaved(kept, truncated, removed);
+  removed = {};  // the last handle: removing now releases the blocks
+  v.remove("removed");
+  (void)v.create("truncated");
+
+  auto f = v.create("fresh");
+  const auto model = write_partial_blocks(f);
+  ASSERT_EQ(f.size(), model.size());
+  EXPECT_EQ(f.read_at(0, f.size()), model);
 }
 
 TEST(ExtentFile, ReadPastEndIsContractViolation) {

@@ -1,13 +1,24 @@
 // Unit tests for the support layer: byte buffers, serialization, CRC-32C,
-// deterministic RNG, statistics, units and the table printer.
+// the page pool, deterministic RNG, statistics, units and the table
+// printer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "support/byte_buffer.hpp"
 #include "support/crc32.hpp"
 #include "support/error.hpp"
+#include "support/page_pool.hpp"
 #include "support/retry.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -599,5 +610,182 @@ TEST(Retry, NonTransientErrorsPropagateImmediately) {
                IoError);
   EXPECT_EQ(calls, 1);
 }
+
+
+constexpr std::size_t kUnit = PageBuffer::kUnit;
+constexpr std::size_t kSlab = PageBuffer::kSlab;
+
+/// The pool's size classes: one unit, one unit and a byte, a whole slab
+/// of units, just above a slab (its own mapping), and a large buffer.
+const std::vector<std::size_t>& pool_sizes() {
+  static const std::vector<std::size_t> sizes{
+      kUnit, kUnit + 1, 32 * kUnit, kSlab + 1, 10 * 1024 * 1024};
+  return sizes;
+}
+
+/// True when every byte of `b` is `v` (memcmp against one unit of `v`, so
+/// the sanitizer builds check ranges, not single bytes).
+bool all_bytes_are(const PageBuffer& b, std::byte v) {
+  const std::vector<std::byte> ref(std::min(b.size(), kUnit), v);
+  for (std::size_t at = 0; at < b.size(); at += ref.size()) {
+    const std::size_t n = std::min(ref.size(), b.size() - at);
+    if (std::memcmp(b.data() + at, ref.data(), n) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(PagePool, EverySizeClassIsZeroedAlignedAndDisjoint) {
+  std::vector<PageBuffer> live;
+  for (const std::size_t size : pool_sizes()) {
+    for (const auto init :
+         {PageBuffer::Init::kZeroed, PageBuffer::Init::kUninitialized}) {
+      PageBuffer b(size, init);
+      ASSERT_EQ(b.size(), size);
+      const auto addr = reinterpret_cast<std::uintptr_t>(b.data());
+      EXPECT_EQ(addr % kUnit, 0u) << "pool buffers start on a unit";
+      if (size > kSlab) {
+        EXPECT_EQ(addr % kSlab, 0u) << "own mappings are slab-aligned";
+      } else {
+        EXPECT_EQ(addr / kSlab, (addr + size - 1) / kSlab)
+            << "a slab-served buffer stays inside one slab";
+      }
+      if (init == PageBuffer::Init::kZeroed) {
+        EXPECT_TRUE(all_bytes_are(b, std::byte{0})) << size;
+      }
+      std::memset(b.data(), static_cast<int>(live.size() + 1), size);
+      live.push_back(std::move(b));
+    }
+  }
+  // Each buffer still holds its own fill, so no two overlap.
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    EXPECT_TRUE(all_bytes_are(live[i], static_cast<std::byte>(i + 1))) << i;
+    for (std::size_t j = i + 1; j < live.size(); ++j) {
+      const std::byte* a = live[i].data();
+      const std::byte* b = live[j].data();
+      EXPECT_TRUE(a + live[i].size() <= b || b + live[j].size() <= a)
+          << i << " overlaps " << j;
+    }
+  }
+}
+
+TEST(PagePool, ReleasingEveryBufferUnmapsEverySlab) {
+  const PagePoolStats before = page_pool_stats();
+  {
+    std::vector<PageBuffer> live;
+    std::size_t requested = 0;
+    for (int round = 0; round < 3; ++round) {
+      for (const std::size_t size : pool_sizes()) {
+        live.emplace_back(size, PageBuffer::Init::kUninitialized);
+        requested += size;
+      }
+    }
+    const PagePoolStats during = page_pool_stats();
+    EXPECT_GE(during.live_bytes - before.live_bytes, requested);
+    EXPECT_GE(during.mapped_bytes - before.mapped_bytes,
+              during.live_bytes - before.live_bytes);
+    // Release every other buffer first: partly used slabs stay mapped.
+    for (std::size_t i = 0; i < live.size(); i += 2) {
+      live[i] = PageBuffer();
+    }
+    EXPECT_LT(page_pool_stats().live_bytes, during.live_bytes);
+  }
+  const PagePoolStats after = page_pool_stats();
+  EXPECT_EQ(after.live_bytes, before.live_bytes);
+  EXPECT_EQ(after.mapped_bytes, before.mapped_bytes);
+}
+
+TEST(PagePool, RecycledUnitsAreClearedWhenZeroedIsAsked) {
+  // A keeper unit holds the slab mapped while the filled run is released,
+  // so the next buffers reuse units that held 0xA5.
+  PageBuffer filled(8 * kUnit, PageBuffer::Init::kUninitialized);
+  const PageBuffer keeper(kUnit, PageBuffer::Init::kZeroed);
+  std::memset(filled.data(), 0xA5, filled.size());
+  const std::byte* const recycled = filled.data();
+  filled = PageBuffer();
+  const PageBuffer again(8 * kUnit, PageBuffer::Init::kZeroed);
+  EXPECT_EQ(again.data(), recycled) << "the lowest free run is reused";
+  EXPECT_TRUE(all_bytes_are(again, std::byte{0}));
+  const PageBuffer smaller(3 * kUnit + 5, PageBuffer::Init::kZeroed);
+  EXPECT_TRUE(all_bytes_are(smaller, std::byte{0}));
+}
+
+TEST(PagePool, CopiesAreDeepAndMovesTransferOwnership) {
+  PageBuffer a(kUnit + 7, PageBuffer::Init::kZeroed);
+  std::memset(a.data(), 0x3C, a.size());
+  PageBuffer copy = a;
+  ASSERT_NE(copy.data(), a.data());
+  std::memset(a.data(), 0x11, a.size());
+  EXPECT_TRUE(all_bytes_are(copy, std::byte{0x3C}));
+  const std::byte* const owned = copy.data();
+  PageBuffer moved = std::move(copy);
+  EXPECT_EQ(moved.data(), owned);
+  EXPECT_EQ(copy.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  PageBuffer small(100, PageBuffer::Init::kZeroed);
+  EXPECT_TRUE(all_bytes_are(small, std::byte{0}));
+  small = moved;
+  EXPECT_TRUE(all_bytes_are(small, std::byte{0x3C}));
+}
+
+TEST(PagePool, ConcurrentThreadsAllocateFillVerifyAndRelease) {
+  const PagePoolStats before = page_pool_stats();
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &mismatches] {
+      Rng rng(900 + static_cast<std::uint64_t>(t));
+      std::vector<std::pair<PageBuffer, std::byte>> held;  // buffer, fill
+      for (int i = 0; i < 150; ++i) {
+        const auto size = static_cast<std::size_t>(rng.uniform_int(
+            1, static_cast<std::int64_t>(kSlab + 2 * kUnit)));
+        PageBuffer b(size, PageBuffer::Init::kZeroed);
+        const auto fill = static_cast<std::byte>(t * 50 + i % 50 + 1);
+        if (!all_bytes_are(b, std::byte{0})) {
+          ++mismatches[static_cast<std::size_t>(t)];
+        }
+        std::memset(b.data(), static_cast<int>(fill), size);
+        held.emplace_back(std::move(b), fill);
+        if (held.size() > 6) {
+          // Release an older buffer after checking its fill survived.
+          const std::size_t victim = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(held.size()) - 1));
+          if (!all_bytes_are(held[victim].first, held[victim].second)) {
+            ++mismatches[static_cast<std::size_t>(t)];
+          }
+          held.erase(held.begin() + static_cast<std::ptrdiff_t>(victim));
+        }
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+  }
+  const PagePoolStats after = page_pool_stats();
+  EXPECT_EQ(after.live_bytes, before.live_bytes);
+  EXPECT_EQ(after.mapped_bytes, before.mapped_bytes);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(PagePool, AsanPoisonsUnitsNotHandedOutAndTheSlack) {
+  const PageBuffer keeper(kUnit, PageBuffer::Init::kZeroed);
+  PageBuffer b(kUnit + 1, PageBuffer::Init::kZeroed);
+  std::byte* const p = b.data();
+  EXPECT_FALSE(__asan_address_is_poisoned(p));
+  EXPECT_FALSE(__asan_address_is_poisoned(p + kUnit));
+  EXPECT_TRUE(__asan_address_is_poisoned(p + kUnit + 1)) << "slack";
+  EXPECT_TRUE(__asan_address_is_poisoned(p + 2 * kUnit - 1)) << "slack";
+  EXPECT_TRUE(__asan_address_is_poisoned(p + 2 * kUnit)) << "free unit";
+  b = PageBuffer();
+  EXPECT_TRUE(__asan_address_is_poisoned(p)) << "released unit";
+  const PageBuffer own(kSlab + 1, PageBuffer::Init::kZeroed);
+  EXPECT_FALSE(__asan_address_is_poisoned(own.data() + kSlab));
+  EXPECT_TRUE(__asan_address_is_poisoned(own.data() + kSlab + 1));
+}
+#endif
 
 }  // namespace

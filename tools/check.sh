@@ -25,7 +25,8 @@
 # the concurrency-heavy suites: the I/O scheduler (svc), both engines'
 # writes through shard workers (IoSession), the tiered-store
 # drain/restore races, the pipelined streamer and its serial channels, the
-# recorder, and the recovery supervisor. The perf smoke is skipped — TSan throughput is
+# recorder, the recovery supervisor, and the page pool every task and I/O
+# worker allocates from. The perf smoke is skipped — TSan throughput is
 # meaningless.
 #
 # CHAOS=1 appends a recovery chaos campaign after the test run: the
@@ -52,8 +53,8 @@ if [[ -n "${tsan}" ]]; then
   # TSan mode defaults to the scheduler/drain race suites; an explicit
   # TARGETS/CTEST_ARGS pair overrides the bound.
   if [[ -z "${TARGETS:-}" && -z "${CTEST_ARGS:-}" ]]; then
-    TARGETS="test_svc test_store test_streamer test_sequential_channel test_obs test_recovery test_partial_recovery test_redundancy test_delta test_adapt test_checkpoint"
-    CTEST_ARGS="-R Svc|IoScheduler|TieredBackend|Streamer|SequentialStreaming|InMemoryPipe|FileChannel|Obs|Recovery|Redundan|Delta|Partial|StreamRuns|Adapt|IoSession"
+    TARGETS="test_svc test_store test_streamer test_sequential_channel test_obs test_recovery test_partial_recovery test_redundancy test_delta test_adapt test_checkpoint test_support"
+    CTEST_ARGS="-R Svc|IoScheduler|TieredBackend|Streamer|SequentialStreaming|InMemoryPipe|FileChannel|Obs|Recovery|Redundan|Delta|Partial|StreamRuns|Adapt|IoSession|PagePool"
   fi
 fi
 
