@@ -148,9 +148,8 @@ int drms_volume_checkpoint_committed(const drms_volume_t* volume,
     return 0;
   }
   try {
-    const auto& storage = volume->storage();
-    return drms::core::commit_status(storage, prefix, false).committed ||
-                   drms::core::commit_status(storage, prefix, true).committed
+    return drms::core::commit_status(volume->storage(), prefix, std::nullopt)
+                   .committed
                ? 1
                : 0;
   } catch (...) {

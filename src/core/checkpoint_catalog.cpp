@@ -5,138 +5,125 @@
 #include <set>
 
 #include "core/delta_format.hpp"
+#include "store/chunk_copy.hpp"
 #include "store/redundancy.hpp"
-#include "support/byte_buffer.hpp"
-#include "support/crc32.hpp"
 #include "support/error.hpp"
 
 namespace drms::core {
 
 namespace {
 
-/// "foo.bar.meta" -> "foo.bar"; nullopt when not a meta file.
-std::optional<std::string> prefix_of_meta(const std::string& name,
-                                          bool& spmd) {
-  static const std::string kSpmdSuffix = ".spmd.meta";
-  static const std::string kSuffix = ".meta";
-  if (name.size() > kSpmdSuffix.size() &&
-      name.compare(name.size() - kSpmdSuffix.size(), kSpmdSuffix.size(),
-                   kSpmdSuffix) == 0) {
-    spmd = true;
-    return name.substr(0, name.size() - kSpmdSuffix.size());
+/// Which state a file belongs to, derived from its name alone (fsck must
+/// classify files whose meta/manifest may be unreadable; the catalog
+/// finds states by their commit files).
+struct ClassifiedFile {
+  std::string prefix;
+  enum class Kind { kDrms, kSpmd, kCommit } kind;
+};
+
+bool ends_with(const std::string& name, const std::string& suffix) {
+  return name.size() > suffix.size() &&
+         name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+             0;
+}
+
+std::optional<ClassifiedFile> classify_state_file(const std::string& name) {
+  using Kind = ClassifiedFile::Kind;
+  static const std::string kCommit = ".commit";
+  static const std::string kSpmdMeta = ".spmd.meta";
+  static const std::string kSpmdTask = ".spmd.task";
+  static const std::string kMeta = ".meta";
+  static const std::string kSegment = ".segment";
+  static const std::string kArray = ".array.";
+  if (ends_with(name, kCommit)) {
+    return ClassifiedFile{name.substr(0, name.size() - kCommit.size()),
+                          Kind::kCommit};
   }
-  if (name.size() > kSuffix.size() &&
-      name.compare(name.size() - kSuffix.size(), kSuffix.size(),
-                   kSuffix) == 0) {
-    spmd = false;
-    return name.substr(0, name.size() - kSuffix.size());
+  if (ends_with(name, kSpmdMeta)) {
+    return ClassifiedFile{name.substr(0, name.size() - kSpmdMeta.size()),
+                          Kind::kSpmd};
+  }
+  const std::size_t task_pos = name.rfind(kSpmdTask);
+  if (task_pos != std::string::npos &&
+      task_pos + kSpmdTask.size() < name.size()) {
+    const std::string tail = name.substr(task_pos + kSpmdTask.size());
+    if (std::all_of(tail.begin(), tail.end(),
+                    [](char c) { return c >= '0' && c <= '9'; })) {
+      return ClassifiedFile{name.substr(0, task_pos), Kind::kSpmd};
+    }
+  }
+  if (ends_with(name, kMeta)) {
+    return ClassifiedFile{name.substr(0, name.size() - kMeta.size()),
+                          Kind::kDrms};
+  }
+  if (ends_with(name, kSegment)) {
+    return ClassifiedFile{name.substr(0, name.size() - kSegment.size()),
+                          Kind::kDrms};
+  }
+  const std::size_t array_pos = name.find(kArray);
+  if (array_pos != std::string::npos && array_pos > 0) {
+    return ClassifiedFile{name.substr(0, array_pos), Kind::kDrms};
+  }
+  static const std::string kDelta = ".delta.";
+  const std::size_t delta_pos = name.find(kDelta);
+  if (delta_pos != std::string::npos && delta_pos > 0) {
+    return ClassifiedFile{name.substr(0, delta_pos), Kind::kDrms};
   }
   return std::nullopt;
+}
+
+std::uint64_t safe_file_size(const store::StorageBackend& storage,
+                             const std::string& name) {
+  try {
+    return storage.file_size(name);
+  } catch (const support::Error&) {
+    return 0;
+  }
 }
 
 }  // namespace
 
 CommitCheck commit_status(const store::StorageBackend& storage,
-                          const std::string& prefix, bool spmd) {
+                          const std::string& prefix,
+                          std::optional<bool> spmd) {
+  MetaCache metas;
+  CheckpointChain chain = walk_checkpoint_chain(storage, prefix, spmd, metas);
   CommitCheck out;
-  const std::string commit_name = commit_file_name(prefix);
-  if (!storage.exists(commit_name)) {
-    out.problems.push_back(commit_name + ": missing (state not committed)");
-    return out;
+  out.committed = chain.problems.empty();
+  out.problems = std::move(chain.problems);
+  if (!chain.manifests.empty()) {
+    out.manifest = std::move(chain.manifests.back());
   }
-  try {
-    out.manifest = read_commit_manifest(storage, prefix);
-  } catch (const support::Error& e) {
-    out.problems.push_back(e.what());
-    return out;
-  }
-  if (out.manifest.spmd != spmd) {
-    out.problems.push_back(commit_name +
-                           ": manifest belongs to the other layout");
-    return out;
-  }
-  for (const auto& e : out.manifest.entries) {
-    if (!storage.exists(e.name)) {
-      out.problems.push_back(e.name + ": listed in manifest but missing");
-    } else if (storage.file_size(e.name) != e.size) {
-      out.problems.push_back(e.name + ": size differs from manifest");
-    }
-  }
-  // A delta generation is only as committed as every generation under it:
-  // walk the base links and hold each member to the same standard, so a
-  // broken chain disqualifies the whole tail (restart falls back, gc
-  // reclaims).
-  if (out.problems.empty() && !out.manifest.base_prefix.empty()) {
-    std::set<std::string> seen{prefix};
-    std::string cur = out.manifest.base_prefix;
-    int depth = 0;
-    while (!cur.empty() && out.problems.empty()) {
-      if (++depth > wire::kMaxChainDepth) {
-        out.problems.push_back("chain under '" + prefix +
-                               "' exceeds the depth bound");
-        break;
-      }
-      if (!seen.insert(cur).second) {
-        out.problems.push_back("chain under '" + prefix + "' is cyclic at '" +
-                               cur + "'");
-        break;
-      }
-      if (!storage.exists(commit_file_name(cur))) {
-        out.problems.push_back(commit_file_name(cur) +
-                               ": chain base not committed");
-        break;
-      }
-      CommitManifest base;
-      try {
-        base = read_commit_manifest(storage, cur);
-      } catch (const support::Error& e) {
-        out.problems.push_back(e.what());
-        break;
-      }
-      if (base.spmd) {
-        out.problems.push_back(commit_file_name(cur) +
-                               ": chain base belongs to the SPMD layout");
-        break;
-      }
-      for (const auto& e : base.entries) {
-        if (!storage.exists(e.name)) {
-          out.problems.push_back(e.name +
-                                 ": listed in chain manifest but missing");
-        } else if (storage.file_size(e.name) != e.size) {
-          out.problems.push_back(e.name +
-                                 ": size differs from chain manifest");
-        }
-      }
-      cur = base.base_prefix;
-    }
-  }
-  out.committed = out.problems.empty();
   return out;
 }
 
 std::vector<CheckpointRecord> list_checkpoints(
     const store::StorageBackend& storage, const std::string& prefix_filter) {
   std::vector<CheckpointRecord> records;
+  // A committed state is found by its manifest; each meta is read once
+  // however many of the chains walked here share it.
+  MetaCache metas;
   for (const auto& name : storage.list(prefix_filter)) {
-    bool spmd = false;
-    const auto prefix = prefix_of_meta(name, spmd);
-    if (!prefix.has_value()) {
+    const auto file = classify_state_file(name);
+    if (!file.has_value() || file->kind != ClassifiedFile::Kind::kCommit) {
       continue;
     }
+    const CheckpointChain chain =
+        walk_checkpoint_chain(storage, file->prefix, std::nullopt, metas);
+    if (!chain.problems.empty()) {
+      continue;  // torn, or on a broken chain: not a candidate
+    }
+    const CommitManifest& manifest = chain.manifests.back();
     CheckpointRecord record;
-    record.prefix = *prefix;
-    record.spmd = spmd;
-    if (!commit_status(storage, *prefix, spmd).committed) {
-      continue;  // torn (crashed before publication): not a candidate
-    }
+    record.prefix = file->prefix;
+    record.spmd = manifest.spmd;
     try {
-      record.meta = spmd ? read_spmd_meta(storage, *prefix)
-                         : read_checkpoint_meta(storage, *prefix);
-      record.state_bytes = spmd ? spmd_state_size(storage, *prefix)
-                                : drms_state_size(storage, *prefix);
+      record.meta = read_listed_meta(storage, record.prefix, manifest, metas);
     } catch (const support::Error&) {
-      continue;  // torn meta or missing files: not a restart candidate
+      continue;  // torn meta: not a restart candidate
     }
+    // The walk has just checked every listed file at its listed size.
+    record.state_bytes = listed_state_size(manifest, record.prefix);
     records.push_back(std::move(record));
   }
   std::sort(records.begin(), records.end(),
@@ -214,30 +201,75 @@ void check(bool condition, const std::string& what, VerifyResult& out) {
   }
 }
 
-/// Verify a segment payload of the form [u64 size][u32 crc][body...].
-/// Structural bounds checks always run; the body CRC only when `deep`.
-void verify_sized_crc_record(const store::FileHandle& file,
-                             std::uint64_t offset, const std::string& what,
-                             bool deep, VerifyResult& out) {
-  if (offset + 12 > file.size()) {
-    check(false, what + ": truncated record header", out);
+/// Restore's checks over one member of a committed chain, through the
+/// readers restore uses; the chain walk has already found every listed
+/// file at its listed size. Structural checks always run, and every byte
+/// is read back when `deep`.
+void verify_generation(const store::StorageBackend& storage,
+                       const std::string& prefix,
+                       const CommitManifest& manifest, MetaCache& metas,
+                       bool deep, VerifyResult& out) {
+  // Every file the meta names must be listed. A reader's error becomes a
+  // problem line, and the checks go on.
+  const auto read = [&](const std::string& name, const auto& reader) {
+    if (manifest.entry(name) == nullptr) {
+      check(false, name + ": not listed in commit manifest", out);
+      return;
+    }
+    try {
+      reader(storage.open(name), name);
+    } catch (const support::Error& e) {
+      check(false, e.what(), out);
+    }
+  };
+  const CheckpointMeta* meta = nullptr;
+  try {
+    meta = &read_listed_meta(storage, prefix, manifest, metas);
+  } catch (const support::Error& e) {
+    check(false, e.what(), out);
     return;
   }
-  drms::support::ByteBuffer head =
-      store::read_to_buffer(file, offset, 12);
-  const std::uint64_t body_size = head.get_u64();
-  const std::uint32_t crc = head.get_u32();
-  if (offset + 12 + body_size > file.size()) {
-    check(false, what + ": truncated record body", out);
+  if (manifest.spmd) {
+    // The listing bounds the loop, whatever task count the meta claims.
+    for (int r = 0; r < meta->task_count &&
+                    static_cast<std::size_t>(r) < manifest.entries.size();
+         ++r) {
+      read(spmd_task_file_name(prefix, r),
+           [&](const store::FileHandle& file, const std::string& name) {
+             (void)(deep ? read_spmd_task_segment(file, r, name)
+                         : read_sized_crc_record(file, 0, file.size(), name,
+                                                 /*read_body=*/false));
+           });
+    }
     return;
   }
-  if (!deep) {
-    return;
+  read(segment_file_name(prefix),
+       [&](const store::FileHandle& file, const std::string& name) {
+         const std::uint64_t head = wire::kSegmentHeaderBytes;
+         const SegmentHeader h = read_segment_header(file, name);
+         (void)read_sized_crc_record(file, head, head + h.replicated_size,
+                                     name, deep);
+       });
+  for (const ArrayMeta& a : meta->arrays) {
+    if (meta->kind == GenerationKind::kDelta) {
+      read(delta_array_file_name(prefix, a.name),
+           [&](const store::FileHandle& file, const std::string& name) {
+             out.ok &= verify_delta_file(file, name, deep, out.problems);
+           });
+      continue;
+    }
+    // One CRC-only pass through the copy kernel's bounded buffer.
+    read(array_file_name(prefix, a.name),
+         [&](const store::FileHandle& file, const std::string& name) {
+           if (deep) {
+             std::uint32_t crc = 0;
+             store::CopySource stream{
+                 .file = file, .length = file.size(), .crc = &crc};
+             store::stream_xor({&stream, 1}, store::CopySink{});
+             check(crc == a.stream_crc, name + ": stream CRC mismatch", out);
+           }
+         });
   }
-  const drms::support::ByteBuffer body =
-      store::read_to_buffer(file, offset + 12, body_size);
-  check(drms::support::crc32c(body.bytes()) == crc, what + ": CRC mismatch",
-        out);
 }
 
 }  // namespace
@@ -245,190 +277,21 @@ void verify_sized_crc_record(const store::FileHandle& file,
 VerifyResult verify_checkpoint(const store::StorageBackend& storage,
                                const CheckpointRecord& record, bool deep) {
   VerifyResult out;
-  // Commit-manifest check first: a state that was never published (or
-  // whose published file list no longer matches the volume) is torn.
-  const CommitCheck commit =
-      commit_status(storage, record.prefix, record.spmd);
-  for (const auto& p : commit.problems) {
+  // One walk checks every member's commit (a torn member, or a broken
+  // chain, is all there is to report) and reads the base's meta.
+  MetaCache metas;
+  const CheckpointChain chain =
+      walk_checkpoint_chain(storage, record.prefix, record.spmd, metas);
+  for (const auto& p : chain.problems) {
     check(false, p, out);
   }
-  if (commit.committed) {
-    // Content CRCs the manifest carries beyond the size checks above: the
-    // meta record file (array streams are re-checked against the meta's
-    // own CRCs below, which the manifest mirrors).
-    const std::string meta_name = record.spmd
-                                      ? spmd_meta_file_name(record.prefix)
-                                      : meta_file_name(record.prefix);
-    const CommitEntry* entry = commit.manifest.entry(meta_name);
-    if (entry == nullptr) {
-      check(false, meta_name + ": not listed in commit manifest", out);
-    } else if (deep && entry->has_crc) {
-      const auto file = storage.open(meta_name);
-      const support::ByteBuffer bytes =
-          store::read_to_buffer(file, 0, file.size());
-      check(support::crc32c(bytes.bytes()) == entry->crc,
-            meta_name + ": CRC differs from manifest", out);
-    }
-  }
-  if (record.spmd) {
-    for (int r = 0; r < record.meta.task_count; ++r) {
-      const std::string name = spmd_task_file_name(record.prefix, r);
-      if (!storage.exists(name)) {
-        check(false, name + ": missing", out);
-        continue;
-      }
-      const auto file = storage.open(name);
-      check(file.size() == record.meta.segment_bytes,
-            name + ": unexpected size", out);
-      verify_sized_crc_record(file, 0, name, deep, out);
-    }
-    return out;
-  }
-
-  // DRMS state: the single segment plus one file per array.
-  const std::string seg_name = segment_file_name(record.prefix);
-  if (!storage.exists(seg_name)) {
-    check(false, seg_name + ": missing", out);
-  } else {
-    const auto seg = storage.open(seg_name);
-    check(seg.size() == record.meta.segment_bytes,
-          seg_name + ": unexpected size", out);
-    if (seg.size() >= wire::kSegmentHeaderBytes) {
-      support::ByteBuffer header =
-          store::read_to_buffer(seg, 0, wire::kSegmentHeaderBytes);
-      check(header.get_u32() == wire::kSegmentMagic,
-            seg_name + ": bad magic", out);
-      check(header.get_u32() == wire::kSegmentVersion,
-            seg_name + ": bad version", out);
-      (void)header.get_u64();  // replicated size
-      check(header.get_u64() == seg.size(),
-            seg_name + ": header/size mismatch", out);
-      // The replicated payload carries its own sized CRC record.
-      verify_sized_crc_record(seg, wire::kSegmentHeaderBytes, seg_name,
-                              deep, out);
-    } else {
-      check(false, seg_name + ": too small for a header", out);
-    }
-  }
-  if (record.meta.kind == GenerationKind::kDelta) {
-    // Delta generation: each array's delta file carries per-block CRCs
-    // (raw + stored) behind a framed index; verify_delta_file checks the
-    // structure always and every block's round trip when deep.
-    for (const auto& a : record.meta.arrays) {
-      const std::string name = delta_array_file_name(record.prefix, a.name);
-      if (!verify_delta_file(storage, name, a.stream_bytes, deep,
-                             out.problems)) {
-        out.ok = false;
-      }
-    }
-    // The state is only restorable through its chain: the walk must
-    // resolve (cycle/commit checks), and the base must itself verify —
-    // recursing through the base covers every generation down to the
-    // full dump exactly once.
-    try {
-      (void)resolve_checkpoint_chain(storage, record.prefix);
-      CheckpointRecord base;
-      base.prefix = record.meta.base_prefix;
-      base.spmd = false;
-      base.meta = read_checkpoint_meta(storage, base.prefix);
-      const VerifyResult base_result =
-          verify_checkpoint(storage, base, deep);
-      for (const auto& p : base_result.problems) {
-        check(false, "chain: " + p, out);
-      }
-    } catch (const support::Error& e) {
-      check(false, e.what(), out);
-    }
-    return out;
-  }
-  for (const auto& a : record.meta.arrays) {
-    const std::string name = array_file_name(record.prefix, a.name);
-    if (!storage.exists(name)) {
-      check(false, name + ": missing", out);
-      continue;
-    }
-    const auto file = storage.open(name);
-    check(file.size() == a.stream_bytes, name + ": unexpected size", out);
-    if (deep && file.size() == a.stream_bytes) {
-      const support::ByteBuffer bytes =
-          store::read_to_buffer(file, 0, file.size());
-      check(support::crc32c(bytes.bytes()) == a.stream_crc,
-            name + ": stream CRC mismatch", out);
-    }
+  for (std::size_t g = 0; chain.problems.empty() && g < chain.prefixes.size();
+       ++g) {
+    verify_generation(storage, chain.prefixes[g], chain.manifests[g], metas,
+                      deep, out);
   }
   return out;
 }
-
-namespace {
-
-/// Which state a file belongs to, derived from its name alone (fsck must
-/// classify files whose meta/manifest may be unreadable).
-struct ClassifiedFile {
-  std::string prefix;
-  enum class Kind { kDrms, kSpmd, kCommit } kind;
-};
-
-bool ends_with(const std::string& name, const std::string& suffix) {
-  return name.size() > suffix.size() &&
-         name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-             0;
-}
-
-std::optional<ClassifiedFile> classify_state_file(const std::string& name) {
-  using Kind = ClassifiedFile::Kind;
-  static const std::string kCommit = ".commit";
-  static const std::string kSpmdMeta = ".spmd.meta";
-  static const std::string kSpmdTask = ".spmd.task";
-  static const std::string kMeta = ".meta";
-  static const std::string kSegment = ".segment";
-  static const std::string kArray = ".array.";
-  if (ends_with(name, kCommit)) {
-    return ClassifiedFile{name.substr(0, name.size() - kCommit.size()),
-                          Kind::kCommit};
-  }
-  if (ends_with(name, kSpmdMeta)) {
-    return ClassifiedFile{name.substr(0, name.size() - kSpmdMeta.size()),
-                          Kind::kSpmd};
-  }
-  const std::size_t task_pos = name.rfind(kSpmdTask);
-  if (task_pos != std::string::npos &&
-      task_pos + kSpmdTask.size() < name.size()) {
-    const std::string tail = name.substr(task_pos + kSpmdTask.size());
-    if (std::all_of(tail.begin(), tail.end(),
-                    [](char c) { return c >= '0' && c <= '9'; })) {
-      return ClassifiedFile{name.substr(0, task_pos), Kind::kSpmd};
-    }
-  }
-  if (ends_with(name, kMeta)) {
-    return ClassifiedFile{name.substr(0, name.size() - kMeta.size()),
-                          Kind::kDrms};
-  }
-  if (ends_with(name, kSegment)) {
-    return ClassifiedFile{name.substr(0, name.size() - kSegment.size()),
-                          Kind::kDrms};
-  }
-  const std::size_t array_pos = name.find(kArray);
-  if (array_pos != std::string::npos && array_pos > 0) {
-    return ClassifiedFile{name.substr(0, array_pos), Kind::kDrms};
-  }
-  static const std::string kDelta = ".delta.";
-  const std::size_t delta_pos = name.find(kDelta);
-  if (delta_pos != std::string::npos && delta_pos > 0) {
-    return ClassifiedFile{name.substr(0, delta_pos), Kind::kDrms};
-  }
-  return std::nullopt;
-}
-
-std::uint64_t safe_file_size(const store::StorageBackend& storage,
-                             const std::string& name) {
-  try {
-    return storage.file_size(name);
-  } catch (const support::Error&) {
-    return 0;
-  }
-}
-
-}  // namespace
 
 std::vector<FsckState> fsck_scan(const store::StorageBackend& storage,
                                  const std::string& prefix_filter) {
@@ -484,37 +347,20 @@ std::vector<FsckState> fsck_scan(const store::StorageBackend& storage,
     s.reclaimable.push_back(file);
     s.reclaimable_bytes += safe_file_size(storage, file);
   };
+  MetaCache metas;
   for (auto& [prefix, g] : groups) {
-    std::optional<CommitManifest> manifest;
-    std::string manifest_problem;
+    // The same walk as the catalog's: a delta whose chain is broken is
+    // torn, so gc reclaims the stranded tail.
+    CheckpointChain chain;
     if (g.has_commit) {
-      try {
-        manifest = read_commit_manifest(storage, prefix);
-      } catch (const support::Error& e) {
-        manifest_problem = e.what();
-      }
+      chain = walk_checkpoint_chain(storage, prefix, std::nullopt, metas);
     }
-    if (manifest.has_value()) {
+    if (!chain.manifests.empty()) {
+      const CommitManifest& manifest = chain.manifests.back();
       FsckState s;
       s.prefix = prefix;
-      s.spmd = manifest->spmd;
-      for (const auto& e : manifest->entries) {
-        if (!storage.exists(e.name)) {
-          s.problems.push_back(e.name + ": listed in manifest but missing");
-        } else if (storage.file_size(e.name) != e.size) {
-          s.problems.push_back(e.name + ": size differs from manifest");
-        }
-      }
-      if (s.problems.empty() && !manifest->base_prefix.empty()) {
-        // A delta whose chain is broken (base missing or torn) is not a
-        // restorable state: report it torn so gc reclaims the stranded
-        // tail. commit_status performs the full chain walk.
-        const CommitCheck chain_check =
-            commit_status(storage, prefix, manifest->spmd);
-        for (const auto& p : chain_check.problems) {
-          s.problems.push_back(p);
-        }
-      }
+      s.spmd = manifest.spmd;
+      s.problems = chain.problems;
       s.committed = s.problems.empty();
       std::vector<std::string>& own =
           s.spmd ? g.spmd_files : g.drms_files;
@@ -522,7 +368,7 @@ std::vector<FsckState> fsck_scan(const store::StorageBackend& storage,
         // Stray files in this state's namespace the manifest never
         // published (e.g. an array dropped before the prefix was reused).
         for (const auto& f : own) {
-          if (manifest->entry(f) == nullptr) {
+          if (manifest.entry(f) == nullptr) {
             s.problems.push_back(f + ": stray (not in commit manifest)");
             reclaim(s, f);
           }
@@ -537,11 +383,11 @@ std::vector<FsckState> fsck_scan(const store::StorageBackend& storage,
       // Files of the OTHER layout under this prefix can never be covered
       // by the (single) manifest: torn.
       const std::vector<std::string>& other =
-          manifest->spmd ? g.drms_files : g.spmd_files;
+          manifest.spmd ? g.drms_files : g.spmd_files;
       if (!other.empty()) {
         FsckState t;
         t.prefix = prefix;
-        t.spmd = !manifest->spmd;
+        t.spmd = !manifest.spmd;
         t.problems.push_back(
             "state files present but the commit manifest belongs to the "
             "other layout");
@@ -554,7 +400,7 @@ std::vector<FsckState> fsck_scan(const store::StorageBackend& storage,
     }
     // No (readable) manifest: everything under this prefix is torn.
     const std::string why =
-        g.has_commit ? manifest_problem
+        g.has_commit ? chain.problems.front()
                      : commit_file_name(prefix) +
                            ": missing (checkpoint crashed before "
                            "publication)";
@@ -652,22 +498,24 @@ int gc_superseded_states(store::StorageBackend& storage,
       restart_candidates(storage, app_name, prefix_filter);
   // Chain closure of the keep set: a kept delta is only restorable
   // through its chain, so every generation under it survives too — a base
-  // is never reclaimed while a committed delta depends on it.
+  // is never reclaimed while a committed delta depends on it. A broken
+  // chain keeps nothing beyond its own member.
   std::set<std::string> keep_set;
+  const auto keep_chain = [&](const std::string& prefix) {
+    keep_set.insert(prefix);
+    try {
+      for (const auto& member : resolve_checkpoint_chain(storage, prefix)) {
+        keep_set.insert(member);
+      }
+    } catch (const support::Error&) {
+    }
+  };
   for (std::size_t i = 0;
        i < candidates.size() && i < static_cast<std::size_t>(keep); ++i) {
-    keep_set.insert(candidates[i].prefix);
     if (candidates[i].meta.kind == GenerationKind::kDelta) {
-      try {
-        for (const auto& member :
-             resolve_checkpoint_chain(storage, candidates[i].prefix)) {
-          keep_set.insert(member);
-        }
-      } catch (const support::Error&) {
-        // Broken chain: the candidate would not have listed as committed;
-        // nothing extra to protect.
-      }
+      keep_chain(candidates[i].prefix);
     }
+    keep_set.insert(candidates[i].prefix);
   }
   // Pinned generations (a restore in flight, or the next attempt's
   // fallback target) survive regardless of their SOP rank: keep-newest
@@ -675,14 +523,7 @@ int gc_superseded_states(store::StorageBackend& storage,
   // possibly corrupt but still committed — generations fill the keep
   // slots. Pins get the same chain closure as kept candidates.
   for (const std::string& pin : pinned) {
-    keep_set.insert(pin);
-    try {
-      for (const auto& member : resolve_checkpoint_chain(storage, pin)) {
-        keep_set.insert(member);
-      }
-    } catch (const support::Error&) {
-      // Not a delta (single-element chain is fine) or already gone.
-    }
+    keep_chain(pin);
   }
   int removed = 0;
   for (std::size_t i = static_cast<std::size_t>(keep);

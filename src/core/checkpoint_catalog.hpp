@@ -26,23 +26,25 @@ struct CheckpointRecord {
 
 /// Commit status of one state under the two-phase protocol.
 struct CommitCheck {
-  /// Manifest present, parses, and every listed file exists with the
-  /// listed size.
+  /// The state's chain is committed (walk_checkpoint_chain): every
+  /// member's manifest parses and every listed file exists with the
+  /// listed size, and the base's meta is a readable full generation.
   bool committed = false;
   std::vector<std::string> problems;
   /// Valid only when the manifest parsed (problems may still flag files).
   CommitManifest manifest;
 };
 
-/// Cheap (no content reads) commit check of the state under `prefix` in
-/// the given layout. `spmd` must match the manifest's recorded layout.
+/// Commit check of the state under `prefix` in the given layout (or, with
+/// nullopt, the one its manifest records), by one walk of its chain
+/// (manifests and the base's meta, no data).
 [[nodiscard]] CommitCheck commit_status(const store::StorageBackend& storage,
-                                        const std::string& prefix, bool spmd);
+                                        const std::string& prefix,
+                                        std::optional<bool> spmd);
 
 /// All COMMITTED checkpointed states under `prefix_filter` (empty = whole
-/// volume), sorted by SOP ascending. States whose meta is unreadable, and
-/// states without a valid commit manifest (torn: the checkpoint crashed
-/// before publication), are skipped — they are not restart candidates.
+/// volume) whose meta reads, found by their manifests and sorted by SOP
+/// ascending; each meta file is read once. Torn states are skipped.
 [[nodiscard]] std::vector<CheckpointRecord> list_checkpoints(
     const store::StorageBackend& storage, const std::string& prefix_filter = "");
 
@@ -78,13 +80,13 @@ struct VerifyResult {
   std::vector<std::string> problems;
 };
 
-/// Offline integrity verification (no task group needed). With
-/// `deep == false` only structural checks run: commit manifest valid,
-/// every file present with the expected size, segment header sane. With
-/// `deep == true` (the default) every byte is read back: the meta file's
-/// manifest CRC, the segment's sized-CRC record, and each DRMS array
-/// file's contents against the stream CRC recorded in the meta. SPMD
-/// states check the per-task segment CRCs.
+/// Offline integrity verification (no task group needed): commit_status's
+/// chain walk, then restore's checks over every member through restore's
+/// readers, each member's meta and manifest read once. With
+/// `deep == false` only structural checks run (meta, segment header and
+/// record bounds, delta headers and indexes). With `deep == true` (the
+/// default) every byte is read back: segment records, full array streams
+/// and every delta block against their CRCs.
 [[nodiscard]] VerifyResult verify_checkpoint(const store::StorageBackend& storage,
                                              const CheckpointRecord& record,
                                              bool deep = true);

@@ -1,5 +1,7 @@
 #include "core/checkpoint_format.hpp"
 
+#include <algorithm>
+
 #include "support/byte_buffer.hpp"
 #include "support/crc32.hpp"
 #include "support/error.hpp"
@@ -20,6 +22,11 @@ constexpr std::uint32_t kCommitMagic = 0x544d4344;  // "DCMT"
 constexpr std::uint32_t kCommitVersion = 1;
 /// Version 2 appends the chain base_prefix; only delta generations use it.
 constexpr std::uint32_t kCommitVersionDelta = 2;
+/// Smallest encodings of a meta's array (name length, rank, elem_size,
+/// stream_bytes, stream_crc; delta: four more u64) and a manifest entry.
+constexpr std::uint64_t kArrayMinBytes = 8 + 8 + 8 + 8 + 4;
+constexpr std::uint64_t kDeltaArrayMinBytes = kArrayMinBytes + 4 * 8;
+constexpr std::uint64_t kEntryMinBytes = 8 + 8 + 1 + 4;
 
 void serialize_meta(const CheckpointMeta& meta, support::ByteBuffer& out) {
   const bool delta = meta.kind != GenerationKind::kFull;
@@ -85,13 +92,21 @@ CheckpointMeta deserialize_meta(support::ByteBuffer& in,
   meta.sop = body.get_i64();
   meta.segment_bytes = body.get_u64();
   const std::uint64_t n = body.get_u64();
-  meta.arrays.reserve(n);
+  // Reserve only for arrays the body actually holds.
+  if (n > body.remaining() / (delta ? kDeltaArrayMinBytes : kArrayMinBytes)) {
+    throw support::CorruptCheckpoint(what + ": array count exceeds the record");
+  }
+  meta.arrays.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
     ArrayMeta a;
     a.name = body.get_string();
     const std::uint64_t rank = body.get_u64();
-    a.lower.resize(rank);
-    a.upper.resize(rank);
+    if (rank > body.remaining() / (2 * 8)) {
+      throw support::CorruptCheckpoint(what +
+                                       ": array rank exceeds the record");
+    }
+    a.lower.resize(static_cast<std::size_t>(rank));
+    a.upper.resize(static_cast<std::size_t>(rank));
     for (std::uint64_t k = 0; k < rank; ++k) {
       a.lower[k] = body.get_i64();
       a.upper[k] = body.get_i64();
@@ -178,7 +193,11 @@ CommitManifest deserialize_manifest(support::ByteBuffer& in,
     }
   }
   const std::uint64_t n = body.get_u64();
-  manifest.entries.reserve(n);
+  // Reserve only for entries the body actually holds.
+  if (n > body.remaining() / kEntryMinBytes) {
+    throw support::CorruptCheckpoint(what + ": entry count exceeds the record");
+  }
+  manifest.entries.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
     CommitEntry e;
     e.name = body.get_string();
@@ -190,10 +209,17 @@ CommitManifest deserialize_manifest(support::ByteBuffer& in,
   return manifest;
 }
 
+/// The one reader of a meta file; `listing`, when given, is its manifest
+/// entry, whose CRC the file must match.
 CheckpointMeta read_meta_file(const store::StorageBackend& storage,
-                              const std::string& file) {
+                              const std::string& file,
+                              const CommitEntry* listing = nullptr) {
   const store::FileHandle handle = storage.open(file);
   support::ByteBuffer buf = store::read_to_buffer(handle, 0, handle.size());
+  if (listing != nullptr && listing->has_crc &&
+      support::crc32c(buf.bytes()) != listing->crc) {
+    throw support::CorruptCheckpoint(file + ": CRC differs from manifest");
+  }
   return deserialize_meta(buf, file);
 }
 
@@ -260,12 +286,27 @@ support::ByteBuffer encode_commit_manifest(const CommitManifest& manifest) {
   return buf;
 }
 
-CommitManifest read_commit_manifest(const store::StorageBackend& storage,
-                                    const std::string& prefix) {
+std::optional<CommitManifest> check_commit(const store::StorageBackend& storage,
+                                           const std::string& prefix,
+                                           std::vector<std::string>& problems) {
   const std::string file = commit_file_name(prefix);
-  const store::FileHandle handle = storage.open(file);
-  support::ByteBuffer buf = store::read_to_buffer(handle, 0, handle.size());
-  return deserialize_manifest(buf, file);
+  std::optional<CommitManifest> manifest;
+  try {  // an absent manifest reads "no such file": not committed
+    const store::FileHandle handle = storage.open(file);
+    support::ByteBuffer buf = store::read_to_buffer(handle, 0, handle.size());
+    manifest = deserialize_manifest(buf, file);
+  } catch (const support::Error& e) {
+    problems.push_back(e.what());
+    return std::nullopt;
+  }
+  for (const auto& e : manifest->entries) {
+    if (!storage.exists(e.name)) {
+      problems.push_back(e.name + ": listed in manifest but missing");
+    } else if (storage.file_size(e.name) != e.size) {
+      problems.push_back(e.name + ": size differs from manifest");
+    }
+  }
+  return manifest;
 }
 
 bool commit_manifest_exists(const store::StorageBackend& storage,
@@ -303,26 +344,125 @@ bool spmd_checkpoint_exists(const store::StorageBackend& storage,
   return storage.exists(spmd_meta_file_name(prefix));
 }
 
-std::uint64_t drms_state_size(const store::StorageBackend& storage,
-                              const std::string& prefix) {
-  std::uint64_t total = storage.file_size(segment_file_name(prefix));
-  const CheckpointMeta meta = read_checkpoint_meta(storage, prefix);
-  const bool delta = meta.kind == GenerationKind::kDelta;
-  for (const auto& a : meta.arrays) {
-    total += storage.file_size(delta ? delta_array_file_name(prefix, a.name)
-                                     : array_file_name(prefix, a.name));
+const CheckpointMeta& read_listed_meta(const store::StorageBackend& storage,
+                                       const std::string& prefix,
+                                       const CommitManifest& manifest,
+                                       MetaCache& metas) {
+  if (const auto it = metas.find(prefix); it != metas.end()) {
+    return it->second;
+  }
+  const std::string name = manifest.spmd ? spmd_meta_file_name(prefix)
+                                         : meta_file_name(prefix);
+  const CommitEntry* entry = manifest.entry(name);
+  if (entry == nullptr) {
+    throw support::CorruptCheckpoint(name + ": not listed in commit manifest");
+  }
+  CheckpointMeta meta = read_meta_file(storage, name, entry);
+  if (meta.base_prefix != manifest.base_prefix) {
+    throw support::CorruptCheckpoint(
+        name + ": chain base differs from the commit manifest's");
+  }
+  return metas.emplace(prefix, std::move(meta)).first->second;
+}
+
+support::ByteBuffer encode_segment_header(const SegmentHeader& header) {
+  support::ByteBuffer buf;
+  buf.put_u32(wire::kSegmentMagic);
+  buf.put_u32(wire::kSegmentVersion);
+  buf.put_u64(header.replicated_size);
+  buf.put_u64(header.total_bytes);
+  return buf;
+}
+
+SegmentHeader read_segment_header(const store::FileHandle& file,
+                                  const std::string& what) {
+  if (file.size() < wire::kSegmentHeaderBytes) {
+    throw support::CorruptCheckpoint(what + ": too small for a header");
+  }
+  support::ByteBuffer buf =
+      store::read_to_buffer(file, 0, wire::kSegmentHeaderBytes);
+  if (buf.get_u32() != wire::kSegmentMagic) {
+    throw support::CorruptCheckpoint(what + ": bad magic");
+  }
+  if (buf.get_u32() != wire::kSegmentVersion) {
+    throw support::CorruptCheckpoint(what + ": unsupported version");
+  }
+  SegmentHeader h;
+  h.replicated_size = buf.get_u64();
+  h.total_bytes = buf.get_u64();
+  if (h.total_bytes != file.size() ||
+      h.replicated_size > h.total_bytes - wire::kSegmentHeaderBytes) {
+    throw support::CorruptCheckpoint(what + ": header/size mismatch");
+  }
+  return h;
+}
+
+support::ByteBuffer read_sized_crc_record(const store::FileHandle& file,
+                                          std::uint64_t offset,
+                                          std::uint64_t end,
+                                          const std::string& what,
+                                          bool read_body) {
+  end = std::min(end, file.size());
+  if (offset > end || end - offset < wire::kRecordHeadBytes) {
+    throw support::CorruptCheckpoint(what + ": truncated record header");
+  }
+  support::ByteBuffer head =
+      store::read_to_buffer(file, offset, wire::kRecordHeadBytes);
+  const std::uint64_t body_size = head.get_u64();
+  const std::uint32_t crc = head.get_u32();
+  if (body_size > end - offset - wire::kRecordHeadBytes) {
+    throw support::CorruptCheckpoint(what + ": truncated record body");
+  }
+  if (!read_body) {
+    return {};
+  }
+  support::ByteBuffer body =
+      store::read_to_buffer(file, offset + wire::kRecordHeadBytes, body_size);
+  if (support::crc32c(body.bytes()) != crc) {
+    throw support::CorruptCheckpoint(what + ": CRC mismatch");
+  }
+  return body;
+}
+
+support::ByteBuffer read_spmd_task_segment(const store::FileHandle& file,
+                                           int rank, const std::string& what) {
+  support::ByteBuffer body = read_sized_crc_record(file, 0, file.size(), what);
+  if (body.size() < 4 + 4 + 8 || body.get_u32() != wire::kSpmdSegmentMagic ||
+      body.get_u32() != wire::kSpmdSegmentVersion) {
+    throw support::CorruptCheckpoint(what + ": bad task segment header");
+  }
+  if (body.get_i64() != rank) {
+    throw support::CorruptCheckpoint(what +
+                                     ": file belongs to a different rank");
+  }
+  return body;
+}
+
+std::uint64_t listed_state_size(const CommitManifest& manifest,
+                                const std::string& prefix) {
+  const std::string meta = manifest.spmd ? spmd_meta_file_name(prefix)
+                                         : meta_file_name(prefix);
+  std::uint64_t total = 0;
+  for (const CommitEntry& e : manifest.entries) {
+    total += e.name == meta ? 0 : e.size;
   }
   return total;
 }
 
+std::uint64_t drms_state_size(const store::StorageBackend& storage,
+                              const std::string& prefix) {
+  std::vector<std::string> problems;
+  const std::optional<CommitManifest> manifest =
+      check_commit(storage, prefix, problems);
+  if (!problems.empty()) {
+    throw support::CorruptCheckpoint(problems.front());
+  }
+  return listed_state_size(*manifest, prefix);
+}
+
 std::uint64_t spmd_state_size(const store::StorageBackend& storage,
                               const std::string& prefix) {
-  const CheckpointMeta meta = read_spmd_meta(storage, prefix);
-  std::uint64_t total = 0;
-  for (int r = 0; r < meta.task_count; ++r) {
-    total += storage.file_size(spmd_task_file_name(prefix, r));
-  }
-  return total;
+  return drms_state_size(storage, prefix);
 }
 
 }  // namespace drms::core

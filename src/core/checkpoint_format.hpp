@@ -26,9 +26,15 @@
 // torn files. When a prefix is overwritten, the old manifest is removed
 // FIRST (decommit) so no crash window can publish a state whose files are
 // half old, half new.
+//
+// Each record above has one reader, here, shared by restore, deep verify,
+// the catalog and fsck; a reader checks every length against the bytes
+// that hold it before it allocates from it.
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,13 +45,15 @@
 namespace drms::core {
 
 /// On-volume wire-format constants, shared by the writers (checkpoint
-/// engines) and the offline verifier.
+/// engines) and the readers below.
 namespace wire {
 inline constexpr std::uint32_t kSegmentMagic = 0x44534547;   // "DSEG"
 inline constexpr std::uint32_t kSegmentVersion = 1;
 inline constexpr std::uint64_t kSegmentHeaderBytes = 4 + 4 + 8 + 8;
 inline constexpr std::uint32_t kSpmdSegmentMagic = 0x53534547;  // "SSEG"
 inline constexpr std::uint32_t kSpmdSegmentVersion = 1;
+/// The [u64 size][u32 crc] head of a sized-CRC record.
+inline constexpr std::uint64_t kRecordHeadBytes = 8 + 4;
 }  // namespace wire
 
 /// Size model of one task's data segment, mirroring the components of the
@@ -143,9 +151,9 @@ struct CommitManifest {
   bool spmd = false;
   std::vector<CommitEntry> entries;
   /// Non-empty for a delta generation: the prefix of the generation this
-  /// one chains to. Mirrored from the meta so the catalog and fsck can
-  /// walk chains without touching meta files. Full generations leave it
-  /// empty and serialize on the unchanged version-1 encoding.
+  /// one chains to, which every chain walk follows (the meta's copy must
+  /// agree). Full generations leave it empty and serialize on the
+  /// unchanged version-1 encoding.
   std::string base_prefix;
 
   [[nodiscard]] const CommitEntry* entry(const std::string& name) const;
@@ -170,8 +178,12 @@ struct CommitManifest {
 [[nodiscard]] support::ByteBuffer encode_checkpoint_meta(const CheckpointMeta& meta);
 [[nodiscard]] support::ByteBuffer encode_commit_manifest(const CommitManifest& manifest);
 
-[[nodiscard]] CommitManifest read_commit_manifest(const store::StorageBackend& storage,
-                                                  const std::string& prefix);
+/// The committed predicate for one generation: its commit manifest exists
+/// and parses, and every file it lists is present with the listed size.
+/// Appends each failure to `problems`; returns the manifest if it parsed.
+[[nodiscard]] std::optional<CommitManifest> check_commit(
+    const store::StorageBackend& storage, const std::string& prefix,
+    std::vector<std::string>& problems);
 [[nodiscard]] bool commit_manifest_exists(const store::StorageBackend& storage,
                                           const std::string& prefix);
 /// Remove the commit manifest if present (the decommit step that precedes
@@ -188,8 +200,51 @@ bool decommit_checkpoint(store::StorageBackend& storage, const std::string& pref
 [[nodiscard]] bool spmd_checkpoint_exists(const store::StorageBackend& storage,
                                           const std::string& prefix);
 
+/// Metas already read, by prefix: one scan reads each meta file once.
+using MetaCache = std::map<std::string, CheckpointMeta>;
+
+/// The meta of the generation `manifest` publishes under `prefix`, from
+/// `metas` or else read from the meta file the manifest lists (whose CRC
+/// and chain base must match the manifest's) and added to `metas`.
+/// Throws CorruptCheckpoint.
+const CheckpointMeta& read_listed_meta(const store::StorageBackend& storage,
+                                       const std::string& prefix,
+                                       const CommitManifest& manifest,
+                                       MetaCache& metas);
+
+/// ---- segment files -----------------------------------------------------------
+/// The fixed header of a DRMS segment file.
+struct SegmentHeader {
+  std::uint64_t replicated_size = 0;
+  std::uint64_t total_bytes = 0;
+};
+[[nodiscard]] support::ByteBuffer encode_segment_header(const SegmentHeader& header);
+
+/// Reads the header of DRMS segment file `file`, named `what`, and checks
+/// its magic, its version, a total equal to the file's size and a
+/// replicated payload that fits in it. Throws CorruptCheckpoint.
+[[nodiscard]] SegmentHeader read_segment_header(const store::FileHandle& file,
+                                                const std::string& what);
+
+/// Reads the [u64 size][u32 crc][body] record at `offset` of `file`, which
+/// must end by offset `end`: the size is checked against those bytes
+/// before the body is read (unless `read_body` is false: an empty buffer
+/// comes back) and its CRC-32C checked. Throws CorruptCheckpoint.
+[[nodiscard]] support::ByteBuffer read_sized_crc_record(
+    const store::FileHandle& file, std::uint64_t offset, std::uint64_t end,
+    const std::string& what, bool read_body = true);
+
+/// Reads task `rank`'s SPMD segment file: its sized-CRC record, then the
+/// body's magic, version and rank. Returns the body, its cursor past
+/// them. Throws CorruptCheckpoint.
+[[nodiscard]] support::ByteBuffer read_spmd_task_segment(
+    const store::FileHandle& file, int rank, const std::string& what);
+
 /// Total on-volume size of a saved state (all files under the layout) —
-/// the paper's "size of saved state" metric (Table 3).
+/// the paper's "size of saved state" metric (Table 3): what its commit
+/// manifest lists, less the meta. The state must be committed.
+[[nodiscard]] std::uint64_t listed_state_size(const CommitManifest& manifest,
+                                              const std::string& prefix);
 [[nodiscard]] std::uint64_t drms_state_size(const store::StorageBackend& storage,
                                             const std::string& prefix);
 [[nodiscard]] std::uint64_t spmd_state_size(const store::StorageBackend& storage,

@@ -1,10 +1,10 @@
 #include "core/delta_format.hpp"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "core/checkpoint_format.hpp"
+#include "obs/recorder.hpp"
 #include "support/crc32.hpp"
 #include "support/error.hpp"
 
@@ -135,8 +135,11 @@ std::vector<DeltaBlockRecord> read_delta_index(const store::FileHandle& file,
           what + ": delta index repeats or reorders a block");
     }
     // A block is never empty nor larger than the block target, a raw
-    // block stores its raw bytes, and an encoded one is smaller.
+    // block stores its raw bytes, and an encoded one is smaller but
+    // within what its stored bytes can decode to, which bounds the raw
+    // buffer a reader allocates for it.
     if (r.raw_bytes == 0 || r.raw_bytes > header.block_bytes ||
+        r.raw_bytes > support::block_reach(r.codec, r.stored_bytes) ||
         (r.codec == support::BlockCodec::kRaw
              ? r.stored_bytes != r.raw_bytes
              : r.stored_bytes >= r.raw_bytes)) {
@@ -183,111 +186,145 @@ std::vector<std::uint64_t> collect_dirty_blocks(
   return out;
 }
 
+CheckpointChain walk_checkpoint_chain(const store::StorageBackend& storage,
+                                      const std::string& prefix,
+                                      std::optional<bool> spmd,
+                                      MetaCache& metas) {
+  CheckpointChain chain;
+  for (std::string cur = prefix; chain.problems.empty();) {
+    if (std::find(chain.prefixes.begin(), chain.prefixes.end(), cur) !=
+        chain.prefixes.end()) {
+      chain.problems.push_back("chain under '" + prefix + "' is cyclic at '" +
+                               cur + "'");
+      break;
+    }
+    if (chain.prefixes.size() ==
+        static_cast<std::size_t>(wire::kMaxChainDepth)) {
+      chain.problems.push_back("chain under '" + prefix +
+                               "' exceeds the depth bound");
+      break;
+    }
+    std::optional<CommitManifest> manifest =
+        check_commit(storage, cur, chain.problems);
+    if (!manifest.has_value()) {
+      break;
+    }
+    // `prefix` has the layout asked for; an SPMD generation has no base
+    // and is no base.
+    const bool own = chain.prefixes.empty();
+    if ((own && spmd.value_or(manifest->spmd) != manifest->spmd) ||
+        (manifest->spmd && (!own || !manifest->base_prefix.empty()))) {
+      chain.problems.push_back(commit_file_name(cur) +
+                               ": manifest belongs to the other layout");
+    }
+    chain.prefixes.push_back(cur);
+    chain.manifests.push_back(std::move(*manifest));
+    const CommitManifest& m = chain.manifests.back();
+    if (chain.problems.empty() && m.base_prefix.empty()) {
+      try {
+        chain.base = read_listed_meta(storage, cur, m, metas);
+      } catch (const support::Error& e) {
+        chain.problems.push_back(e.what());
+      }
+      break;
+    }
+    cur = m.base_prefix;
+  }
+  std::reverse(chain.prefixes.begin(), chain.prefixes.end());
+  std::reverse(chain.manifests.begin(), chain.manifests.end());
+  return chain;
+}
+
 namespace {
 
-/// Walks the chain from `prefix` to its full base. `tip`, when set, is
-/// prefix's meta, already read.
-CheckpointChain walk_chain(const store::StorageBackend& storage,
-                           const std::string& prefix,
-                           const CheckpointMeta* tip) {
-  CheckpointChain chain;
-  std::set<std::string> seen;
-  std::string cur = prefix;
-  for (int depth = 0; depth < wire::kMaxChainDepth; ++depth) {
-    if (!seen.insert(cur).second) {
-      throw support::CorruptCheckpoint("checkpoint chain at '" + prefix +
-                                       "' is cyclic");
-    }
-    if (!commit_manifest_exists(storage, cur)) {
-      throw support::CorruptCheckpoint("chain member '" + cur +
-                                       "' of checkpoint '" + prefix +
-                                       "' is not committed");
-    }
-    CheckpointMeta meta = depth == 0 && tip != nullptr
-                              ? *tip
-                              : read_checkpoint_meta(storage, cur);
-    chain.prefixes.push_back(cur);
-    if (meta.kind == GenerationKind::kFull) {
-      std::reverse(chain.prefixes.begin(), chain.prefixes.end());
-      chain.base = std::move(meta);
-      return chain;
-    }
-    cur = meta.base_prefix;
+CheckpointChain resolve(const store::StorageBackend& storage,
+                        const std::string& prefix) {
+  MetaCache metas;
+  CheckpointChain chain = walk_checkpoint_chain(storage, prefix, false, metas);
+  if (!chain.problems.empty()) {
+    throw support::CorruptCheckpoint(chain.problems.front());
   }
-  throw support::CorruptCheckpoint("checkpoint chain at '" + prefix +
-                                   "' exceeds the depth bound");
+  return chain;
 }
 
 }  // namespace
 
 std::vector<std::string> resolve_checkpoint_chain(
     const store::StorageBackend& storage, const std::string& prefix) {
-  return walk_chain(storage, prefix, nullptr).prefixes;
+  return resolve(storage, prefix).prefixes;
 }
 
 CheckpointChain resolve_checkpoint_chain(const store::StorageBackend& storage,
                                          const std::string& prefix,
                                          const CheckpointMeta& meta) {
   if (meta.kind == GenerationKind::kFull) {
-    return {{prefix}, meta};
+    return {{prefix}, {}, meta, {}};
   }
-  return walk_chain(storage, prefix, &meta);
+  CheckpointChain chain = resolve(storage, prefix);
+  if (meta.base_prefix != chain.manifests.back().base_prefix) {
+    throw support::CorruptCheckpoint(
+        meta_file_name(prefix) + ": chain base differs from the commit "
+                                 "manifest's");
+  }
+  return chain;
 }
 
-bool verify_delta_file(const store::StorageBackend& storage,
-                       const std::string& name, std::uint64_t expected_size,
+void load_delta_block(const store::FileHandle& file,
+                      const DeltaBlockRecord& rec, std::span<std::byte> raw,
+                      support::ByteBuffer& scratch, obs::Recorder* recorder,
+                      int rank) {
+  DRMS_EXPECTS(raw.size() == rec.raw_bytes);
+  // A raw block is read straight into `raw` and checked by one CRC (the
+  // index guarantees its stored size is its raw size).
+  const bool encoded = rec.codec != support::BlockCodec::kRaw;
+  std::span<std::byte> stored = raw;
+  if (encoded) {
+    scratch.resize_uninitialized(static_cast<std::size_t>(rec.stored_bytes));
+    stored = std::span<std::byte>(scratch.data(), scratch.size());
+  }
+  {
+    obs::ScopedSpan read_span(recorder, "delta.worker", "read", rank, -1.0);
+    file.read_at_into(wire::kDeltaHeaderBytes + rec.payload_offset, stored);
+  }
+  obs::ScopedSpan decode_span(recorder, "delta.worker", "decode", rank, -1.0);
+  const auto corrupt = [&](const char* what) {
+    return support::CorruptCheckpoint(
+        "delta block " + std::to_string(rec.block_index) + what);
+  };
+  std::uint32_t crc = support::crc32c(stored);
+  if (crc != rec.stored_crc) {
+    throw corrupt(": stored CRC mismatch");
+  }
+  if (encoded) {
+    support::block_decode(rec.codec, stored, raw);
+    crc = support::crc32c(raw);
+  }
+  if (crc != rec.raw_crc) {
+    throw corrupt(": raw CRC mismatch");
+  }
+}
+
+bool verify_delta_file(const store::FileHandle& file, const std::string& name,
                        bool deep, std::vector<std::string>& problems) {
   const std::size_t before = problems.size();
-  if (!storage.exists(name)) {
-    problems.push_back(name + ": missing");
-    return false;
-  }
-  const store::FileHandle file = storage.open(name);
-  if (file.size() != expected_size) {
-    problems.push_back(name + ": unexpected size");
-  }
-  DeltaFileHeader header;
-  std::vector<DeltaBlockRecord> records;
   try {
-    header = read_delta_header(file, name);
-    records = read_delta_index(file, header, name);
-  } catch (const support::Error& e) {
-    problems.push_back(e.what());
-    return false;
-  }
-  if (deep) {
-    // One read and one CRC per raw block; an encoded block is decoded
-    // too. Both buffers are reused across blocks.
-    support::ByteBuffer stored;
-    support::ByteBuffer raw;
-    for (const auto& r : records) {
-      const auto mismatch = [&](const char* what) {
-        problems.push_back(name + ": block " + std::to_string(r.block_index) +
-                           what);
-      };
-      stored.clear();
-      file.read_at_into(wire::kDeltaHeaderBytes + r.payload_offset,
-                        stored.append_uninitialized(
-                            static_cast<std::size_t>(r.stored_bytes)));
-      std::uint32_t crc = support::crc32c(stored.bytes());
-      if (crc != r.stored_crc) {
-        mismatch(" stored CRC mismatch");
-        continue;
-      }
-      if (r.codec != support::BlockCodec::kRaw) {
-        raw.clear();
+    const std::vector<DeltaBlockRecord> records =
+        read_delta_index(file, read_delta_header(file, name), name);
+    if (deep) {
+      // Both buffers are reused across blocks.
+      support::ByteBuffer raw;
+      support::ByteBuffer scratch;
+      for (const DeltaBlockRecord& r : records) {
+        raw.resize_uninitialized(static_cast<std::size_t>(r.raw_bytes));
         try {
-          support::block_decode(r.codec, stored.bytes(), r.raw_bytes, raw);
+          load_delta_block(file, r, {raw.data(), raw.size()}, scratch);
         } catch (const support::Error& e) {
-          problems.push_back(e.what());
-          continue;
+          problems.push_back(name + ": " + e.what());
         }
-        crc = support::crc32c(raw.bytes());
-      }
-      if (crc != r.raw_crc) {
-        mismatch(" raw CRC mismatch");
       }
     }
+  } catch (const support::Error& e) {
+    problems.push_back(e.what());
   }
   return problems.size() == before;
 }

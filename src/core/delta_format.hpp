@@ -19,9 +19,12 @@
 //              and CRC-32C of both the raw and the stored bytes.
 // The meta (version 3) and commit manifest (version 2) carry the chain
 // link: base_prefix names the generation this delta applies on top of.
+// Readers follow the manifest's; the meta's must agree with it.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,6 +33,10 @@
 #include "store/storage_backend.hpp"
 #include "support/block_codec.hpp"
 #include "support/byte_buffer.hpp"
+
+namespace drms::obs {
+class Recorder;
+}  // namespace drms::obs
 
 namespace drms::core {
 
@@ -87,37 +94,55 @@ struct DeltaFileHeader {
 [[nodiscard]] std::vector<std::uint64_t> collect_dirty_blocks(
     const DistArray& array, const std::vector<Slice>& blocks);
 
-/// The chain of generations ending at `prefix`, base first (so
-/// chain.front() is the full generation and chain.back() == prefix).
-/// Every member must be committed with a readable meta; throws
-/// CorruptCheckpoint on a missing/uncommitted base, a cycle, or a chain
-/// deeper than wire::kMaxChainDepth.
+/// A chain of generations as their commit manifests publish it.
+struct CheckpointChain {
+  /// Base first; back() is the generation the chain was walked from.
+  std::vector<std::string> prefixes;
+  /// The members' commit manifests, in the order of `prefixes`.
+  std::vector<CommitManifest> manifests;
+  /// Meta of prefixes.front(), the full generation.
+  CheckpointMeta base;
+  /// Why the chain is not committed; empty when it is.
+  std::vector<std::string> problems;
+};
+
+/// The one chain walk: from `prefix`, holds each member to check_commit
+/// and follows its manifest's base_prefix to the base, whose meta it
+/// reads through `metas`. `prefix` has the `spmd` layout if one is given;
+/// SPMD generations do not chain. Stops at the first problem (a cycle or
+/// a chain deeper than wire::kMaxChainDepth too); manifests.back() is
+/// `prefix`'s whenever it parsed.
+[[nodiscard]] CheckpointChain walk_checkpoint_chain(
+    const store::StorageBackend& storage, const std::string& prefix,
+    std::optional<bool> spmd, MetaCache& metas);
+
+/// The DRMS chain ending at `prefix`, base first. Throws
+/// CorruptCheckpoint with the walk's first problem.
 [[nodiscard]] std::vector<std::string> resolve_checkpoint_chain(
     const store::StorageBackend& storage, const std::string& prefix);
 
-/// The generations a restart of `prefix` replays, and the base's meta.
-struct CheckpointChain {
-  /// Base first; back() is the restored generation.
-  std::vector<std::string> prefixes;
-  /// Meta of prefixes.front(), the full generation.
-  CheckpointMeta base;
-};
-
 /// The chain a restart replays, resolved once per restart and shared by
 /// every array's restore. `meta` is the restored generation's own meta,
-/// already read. A full generation is its own chain and reads nothing; a
-/// delta generation's chain is walked as resolve_checkpoint_chain does,
-/// with the same checks, reading each other member's meta once.
+/// already read. A full generation is its own chain and reads nothing;
+/// a delta's chain is walked (reading the base's meta), and `meta` must
+/// name the base its manifest names. Throws CorruptCheckpoint.
 [[nodiscard]] CheckpointChain resolve_checkpoint_chain(
     const store::StorageBackend& storage, const std::string& prefix,
     const CheckpointMeta& meta);
 
-/// Offline integrity check of one delta file: header/index structure and
-/// sizes always; with `deep`, every stored block is read back, checked
-/// against its stored CRC, decoded, and checked against its raw CRC.
-/// Appends problems to `problems`; returns true when none were found.
-bool verify_delta_file(const store::StorageBackend& storage,
-                       const std::string& name, std::uint64_t expected_size,
+/// The one delta-block loader: reads block `rec` of delta file `file`
+/// (into `raw` if stored raw, else into `scratch`), checks its stored
+/// CRC, decodes it into `raw` (rec.raw_bytes long) and checks its raw
+/// CRC. Throws CorruptCheckpoint. Traces delta.worker spans of `rank`.
+void load_delta_block(const store::FileHandle& file,
+                      const DeltaBlockRecord& rec, std::span<std::byte> raw,
+                      support::ByteBuffer& scratch,
+                      obs::Recorder* recorder = nullptr, int rank = -1);
+
+/// Offline integrity check of delta file `file`, named `name`: header and
+/// index, and with `deep` every block through load_delta_block. Appends
+/// problems to `problems`; returns true when none were found.
+bool verify_delta_file(const store::FileHandle& file, const std::string& name,
                        bool deep, std::vector<std::string>& problems);
 
 }  // namespace drms::core

@@ -14,39 +14,6 @@ namespace drms::core {
 
 namespace {
 
-constexpr std::uint32_t kSegMagic = wire::kSegmentMagic;
-constexpr std::uint32_t kSegVersion = wire::kSegmentVersion;
-
-/// Fixed-size segment header preceding the replicated payload.
-struct SegHeaderFields {
-  std::uint64_t replicated_size = 0;
-  std::uint64_t total_bytes = 0;
-};
-
-constexpr std::uint64_t kSegHeaderBytes = wire::kSegmentHeaderBytes;
-
-support::ByteBuffer make_segment_header(const SegHeaderFields& h) {
-  support::ByteBuffer buf;
-  buf.put_u32(kSegMagic);
-  buf.put_u32(kSegVersion);
-  buf.put_u64(h.replicated_size);
-  buf.put_u64(h.total_bytes);
-  return buf;
-}
-
-SegHeaderFields parse_segment_header(support::ByteBuffer& buf) {
-  if (buf.get_u32() != kSegMagic) {
-    throw support::CorruptCheckpoint("segment file: bad magic");
-  }
-  if (buf.get_u32() != kSegVersion) {
-    throw support::CorruptCheckpoint("segment file: unsupported version");
-  }
-  SegHeaderFields h;
-  h.replicated_size = buf.get_u64();
-  h.total_bytes = buf.get_u64();
-  return h;
-}
-
 /// Disjoint half-open byte ranges of an array's element stream; touching
 /// ranges merge as they are added.
 class StreamCover {
@@ -263,7 +230,8 @@ CheckpointTiming DrmsCheckpoint::write(rt::TaskContext& ctx,
   // --- Phase 1: one representative task writes the shared data segment.
   support::ByteBuffer replicated;
   store.serialize(replicated);
-  const std::uint64_t payload_end = kSegHeaderBytes + replicated.size();
+  const std::uint64_t payload_end =
+      wire::kSegmentHeaderBytes + replicated.size();
   // A delta generation's segment is compact: the padding components
   // (Table 4's local/private/system sections) are identical to the base's
   // and are not re-dumped — only the replicated payload moves.
@@ -283,15 +251,17 @@ CheckpointTiming DrmsCheckpoint::write(rt::TaskContext& ctx,
     session_.submit(
         segment_file_name(prefix), total_bytes,
         [this, &prefix, &replicated, total_bytes, payload_end,
-         header = make_segment_header(
-             SegHeaderFields{replicated.size(), total_bytes})] {
+         header = encode_segment_header(
+             SegmentHeader{replicated.size(), total_bytes})] {
           store::FileHandle seg = support::retry_io(
               [&] { return storage_.create(segment_file_name(prefix)); },
               session_.retry_policy("segment.create"));
           support::retry_io([&] { seg.write_at(0, header.bytes()); },
                             session_.retry_policy("segment.write"));
           support::retry_io(
-              [&] { seg.write_at(kSegHeaderBytes, replicated.bytes()); },
+              [&] {
+                seg.write_at(wire::kSegmentHeaderBytes, replicated.bytes());
+              },
               session_.retry_policy("segment.write"));
           if (total_bytes > payload_end) {
             // The private/system/local-section components of the data
@@ -495,15 +465,11 @@ CheckpointMeta DrmsCheckpoint::restore_segment(
   const CheckpointMeta meta = read_checkpoint_meta(storage_, prefix);
 
   // Every task loads the single shared segment file.
-  const store::FileHandle seg = storage_.open(segment_file_name(prefix));
-  support::ByteBuffer header =
-      store::read_to_buffer(seg, 0, kSegHeaderBytes);
-  const SegHeaderFields h = parse_segment_header(header);
-  if (h.total_bytes != seg.size()) {
-    throw support::CorruptCheckpoint("segment file: size mismatch");
-  }
-  support::ByteBuffer payload =
-      store::read_to_buffer(seg, kSegHeaderBytes, h.replicated_size);
+  const std::string seg_name = segment_file_name(prefix);
+  const store::FileHandle seg = storage_.open(seg_name);
+  const SegmentHeader h = read_segment_header(seg, seg_name);
+  support::ByteBuffer payload = store::read_to_buffer(
+      seg, wire::kSegmentHeaderBytes, h.replicated_size);
   store.deserialize(payload);
 
   if (storage_.charges_time()) {

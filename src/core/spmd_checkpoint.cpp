@@ -8,13 +8,6 @@
 
 namespace drms::core {
 
-namespace {
-
-constexpr std::uint32_t kTaskSegMagic = wire::kSpmdSegmentMagic;
-constexpr std::uint32_t kTaskSegVersion = wire::kSpmdSegmentVersion;
-
-}  // namespace
-
 SpmdCheckpoint::SpmdCheckpoint(store::StorageBackend& storage,
                                sim::LoadContext load, bool jitter,
                                obs::Recorder* recorder)
@@ -56,8 +49,8 @@ CheckpointTiming SpmdCheckpoint::write(rt::TaskContext& ctx,
   // Serialize this task's full segment: replicated payload, then the real
   // bytes of every local array section, then padding to the static size.
   support::ByteBuffer body;
-  body.put_u32(kTaskSegMagic);
-  body.put_u32(kTaskSegVersion);
+  body.put_u32(wire::kSpmdSegmentMagic);
+  body.put_u32(wire::kSpmdSegmentVersion);
   body.put_i64(ctx.rank());
   store.serialize(body);
   body.put_u64(arrays.size());
@@ -164,26 +157,9 @@ CheckpointMeta SpmdCheckpoint::restore_begin(
         " is impossible without the DRMS programming model");
   }
 
-  const store::FileHandle file =
-      storage_.open(spmd_task_file_name(prefix, ctx.rank()));
-  support::ByteBuffer head = store::read_to_buffer(file, 0, 12);
-  const std::uint64_t body_size = head.get_u64();
-  const std::uint32_t crc = head.get_u32();
-  support::ByteBuffer body = store::read_to_buffer(file, 12, body_size);
-  if (support::crc32c(body.bytes()) != crc) {
-    throw support::CorruptCheckpoint("SPMD task segment: CRC mismatch");
-  }
-  if (body.get_u32() != kTaskSegMagic) {
-    throw support::CorruptCheckpoint("SPMD task segment: bad magic");
-  }
-  if (body.get_u32() != kTaskSegVersion) {
-    throw support::CorruptCheckpoint(
-        "SPMD task segment: unsupported version");
-  }
-  if (body.get_i64() != ctx.rank()) {
-    throw support::CorruptCheckpoint(
-        "SPMD task segment: file belongs to a different rank");
-  }
+  const std::string name = spmd_task_file_name(prefix, ctx.rank());
+  const store::FileHandle file = storage_.open(name);
+  support::ByteBuffer body = read_spmd_task_segment(file, ctx.rank(), name);
   store.deserialize(body);
   cursor.arrays_remaining = body.get_u64();
   cursor.body = std::move(body);

@@ -489,20 +489,12 @@ void ArrayStreamer::apply_delta_blocks(
     rt::TaskContext& ctx, DistArray& array, const StreamPlan& blocks,
     const std::vector<DeltaBlockRecord>& records, store::FileHandle file,
     int io_tasks) const {
-  const std::size_t elem = array.elem_size();
+  // The reader checked each record against the plan (restore's
+  // open_delta_link); load_delta_block checks its raw size again.
   for (const auto& rec : records) {
-    if (rec.block_index >= blocks.chunks.size() ||
-        rec.raw_bytes !=
-            static_cast<std::uint64_t>(
-                blocks.chunks[static_cast<std::size_t>(rec.block_index)]
-                    .element_count()) *
-                elem) {
-      throw support::CorruptCheckpoint(
-          "delta record does not match the array's block plan");
-    }
+    DRMS_EXPECTS(rec.block_index < blocks.chunks.size());
   }
   const int me = ctx.rank();
-  obs::Recorder* const obsrec = recorder_;
   std::array<support::ByteBuffer, 2> reads;  // encoded blocks, per slot
   const Stages stages{
       "delta", records.size(),
@@ -510,43 +502,11 @@ void ArrayStreamer::apply_delta_blocks(
         return blocks
             .chunks[static_cast<std::size_t>(records[i].block_index)];
       },
-      // Read, verify and decode the block, landing its raw bytes in
-      // staging: the decode overlaps the previous round's scatter. A raw
-      // block is read straight into staging and checked by one CRC (the
-      // index guarantees its stored size is its raw size); an encoded one
-      // is read into the slot's buffer and decoded into staging.
+      // Load the block (read, verify, decode) into staging: the decode
+      // overlaps the previous round's scatter.
       [&](const Round& round, LocalArray& staging) {
-        const DeltaBlockRecord& rec = records[*round.item];
-        const std::span<std::byte> raw = staging.bytes();
-        const bool encoded = rec.codec != support::BlockCodec::kRaw;
-        std::span<std::byte> stored = raw;
-        if (encoded) {
-          support::ByteBuffer& buf = reads[round.slot];
-          buf.resize_uninitialized(static_cast<std::size_t>(rec.stored_bytes));
-          stored = std::span<std::byte>(buf.data(), buf.size());
-        }
-        {
-          obs::ScopedSpan read_span(obsrec, "delta.worker", "read", me, -1.0);
-          file.read_at_into(wire::kDeltaHeaderBytes + rec.payload_offset,
-                            stored);
-        }
-        obs::ScopedSpan decode_span(obsrec, "delta.worker", "decode", me,
-                                    -1.0);
-        std::uint32_t crc = support::crc32c(stored);
-        if (crc != rec.stored_crc) {
-          throw support::CorruptCheckpoint(
-              "delta block " + std::to_string(rec.block_index) +
-              ": stored CRC mismatch");
-        }
-        if (encoded) {
-          support::block_decode(rec.codec, stored, raw);
-          crc = support::crc32c(raw);
-        }
-        if (crc != rec.raw_crc) {
-          throw support::CorruptCheckpoint(
-              "delta block " + std::to_string(rec.block_index) +
-              ": raw CRC mismatch");
-        }
+        load_delta_block(file, records[*round.item], staging.bytes(),
+                         reads[round.slot], recorder_, me);
       },
       [&](const Round& round, const LocalArray&) {
         std::uint64_t stored = 0;

@@ -139,7 +139,8 @@ class ArrayStreamer {
   /// bytes, verify + decode on a background worker (overlapping the
   /// previous round's scatter exchange), and scatter the raw block into
   /// the array's current distribution. The records must name distinct
-  /// blocks; a later call overwrites what an earlier one landed.
+  /// blocks of `blocks`, each at its block's size; a later call
+  /// overwrites what an earlier one landed.
   void apply_delta_blocks(rt::TaskContext& ctx, DistArray& array,
                           const StreamPlan& blocks,
                           const std::vector<DeltaBlockRecord>& records,

@@ -9,7 +9,6 @@
 #include "adapt/controller.hpp"
 #include "core/checkpoint_catalog.hpp"
 #include "core/checkpoint_format.hpp"
-#include "core/delta_format.hpp"
 #include "core/partial_restore.hpp"
 #include "rt/task_group.hpp"
 #include "support/error.hpp"
@@ -293,26 +292,15 @@ RecoveryReport RecoverySupervisor::run(const SupervisorOptions& options,
       break;
     }
     verify_span.end(-1.0);
-    // Pin the chosen generation (and, for a delta, its whole chain): the
-    // relaunch is about to read it, and retention must not reclaim it —
-    // neither mid-restore nor between attempts while newer-but-corrupt
-    // generations hold the keep-newest slots. The pin drops once the
-    // resumed run commits its first new SOP (the iteration hook clears it
-    // after that gc) or at the next selection.
+    // Pin the chosen generation (gc_superseded_states keeps a pin's whole
+    // chain): the relaunch is about to read it, and retention must not
+    // reclaim it — neither mid-restore nor between attempts while
+    // newer-but-corrupt generations hold the keep-newest slots. The pin
+    // drops once the resumed run commits its first new SOP (the iteration
+    // hook clears it after that gc) or at the next selection.
     pinned.clear();
     if (chosen != nullptr) {
       pinned.push_back(chosen->prefix);
-      if (chosen->meta.kind == core::GenerationKind::kDelta) {
-        try {
-          for (const std::string& link :
-               core::resolve_checkpoint_chain(storage, chosen->prefix)) {
-            pinned.push_back(link);
-          }
-        } catch (const support::Error&) {
-          // A broken chain fails verify/restore on its own; the pin is
-          // best-effort protection, not a validity check.
-        }
-      }
     }
     report.generation_fallbacks += lr.generations_skipped;
     Clock::time_point t2 = Clock::now();

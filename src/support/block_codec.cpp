@@ -351,12 +351,16 @@ void block_decode(BlockCodec codec, std::span<const std::byte> stored,
   throw CorruptCheckpoint("unknown block codec id");
 }
 
+std::uint64_t block_reach(BlockCodec codec,
+                          std::uint64_t stored_bytes) noexcept {
+  return codec == BlockCodec::kLz ? stored_bytes * kMaxExpansion
+                                  : stored_bytes;
+}
+
 void block_decode(BlockCodec codec, std::span<const std::byte> stored,
                   std::uint64_t raw_bytes, ByteBuffer& out) {
   // Size the output only for a raw size the stored bytes can reach.
-  const std::uint64_t reach =
-      codec == BlockCodec::kLz ? stored.size() * kMaxExpansion : stored.size();
-  if (raw_bytes > reach) {
+  if (raw_bytes > block_reach(codec, stored.size())) {
     throw CorruptCheckpoint("block is too short for its raw size");
   }
   block_decode(codec, stored,

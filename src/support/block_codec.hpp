@@ -54,6 +54,10 @@ enum class BlockCodec : std::uint8_t {
                                       std::span<const std::byte> raw,
                                       ByteBuffer& out);
 
+/// The largest raw size `stored_bytes` stored with `codec` can decode to.
+[[nodiscard]] std::uint64_t block_reach(BlockCodec codec,
+                                        std::uint64_t stored_bytes) noexcept;
+
 /// Decodes a block stored with `codec` into `out`, whose size is the
 /// block's raw size. Throws CorruptCheckpoint when the stored bytes are
 /// malformed or do not decode to exactly out.size() bytes; `out` then

@@ -1,17 +1,23 @@
 // Tests for the checkpoint catalog: enumeration across DRMS and SPMD
-// states, latest-SOP selection, torn-meta exclusion, and retention.
+// states, latest-SOP selection, torn-meta exclusion, retention, the
+// shared on-volume readers' length checks against hostile records, and
+// deep verify of the SPMD states the writer commits.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 
 #include "core/checkpoint_catalog.hpp"
 #include "core/drms_context.hpp"
 #include "rt/task_group.hpp"
+#include "support/crc32.hpp"
+#include "support/error.hpp"
 #include "test_helpers.hpp"
 
 namespace {
 
 using namespace drms::core;
+namespace support = drms::support;
 using Volume = drms::test::TestVolume;
 using drms::rt::TaskContext;
 using drms::rt::TaskGroup;
@@ -388,6 +394,181 @@ TEST(CheckpointCatalog, PrefixFilterNarrowsTheScan) {
   EXPECT_EQ(list_checkpoints(volume, "alpha").size(), 2u);
   EXPECT_EQ(list_checkpoints(volume, "beta").size(), 2u);
   EXPECT_EQ(list_checkpoints(volume).size(), 4u);
+}
+
+/// `image`, a [u32 crc][u64 size][body] record, with the body's last u64
+/// set to `count` and its CRC made to match: CRC-consistent whatever it
+/// claims.
+std::vector<std::byte> with_last_count(const support::ByteBuffer& image,
+                                       std::uint64_t count) {
+  std::vector<std::byte> out(image.bytes().begin(), image.bytes().end());
+  support::ByteBuffer field;
+  field.put_u64(count);
+  std::copy(field.bytes().begin(), field.bytes().end(), out.end() - 8);
+  support::ByteBuffer crc;
+  crc.put_u32(support::crc32c(std::span(out).subspan(4 + 8)));
+  std::copy(crc.bytes().begin(), crc.bytes().end(), out.begin());
+  return out;
+}
+
+constexpr std::uint64_t kHugeCount = std::uint64_t{1} << 40;
+
+TEST(CheckpointCatalog, MetaArrayCountBeyondItsRecordIsCorrupt) {
+  // A CRC-consistent meta claiming 2^40 arrays, listed by its manifest at
+  // its size and CRC: the reader refuses it before reserving for them.
+  Volume volume(16);
+  write_states(volume, "alpha", 2, 1, CheckpointMode::kDrms);
+  CheckpointMeta meta;  // no arrays: the count is the body's last field
+  meta.app_name = "alpha";
+  const std::vector<std::byte> image =
+      with_last_count(encode_checkpoint_meta(meta), kHugeCount);
+  volume.create(meta_file_name("alpha.even")).write_at(0, image);
+  std::vector<std::string> problems;
+  CommitManifest manifest = *check_commit(volume, "alpha.even", problems);
+  for (CommitEntry& e : manifest.entries) {
+    if (e.name == meta_file_name("alpha.even")) {
+      e.size = image.size();
+      e.crc = support::crc32c(image);
+    }
+  }
+  volume.create(commit_file_name("alpha.even"))
+      .write_at(0, encode_commit_manifest(manifest).bytes());
+
+  EXPECT_THROW((void)read_checkpoint_meta(volume, "alpha.even"),
+               support::CorruptCheckpoint);
+  const CommitCheck check = commit_status(volume, "alpha.even", false);
+  EXPECT_FALSE(check.committed);
+  ASSERT_FALSE(check.problems.empty());
+  EXPECT_NE(check.problems[0].find("array count exceeds the record"),
+            std::string::npos)
+      << check.problems[0];
+  EXPECT_TRUE(list_checkpoints(volume).empty());
+  CheckpointRecord record;
+  record.prefix = "alpha.even";
+  EXPECT_EQ(verify_checkpoint(volume, record).problems, check.problems);
+}
+
+TEST(CheckpointCatalog, ManifestEntryCountBeyondItsRecordIsCorrupt) {
+  // A CRC-consistent manifest claiming 2^40 entries makes its state torn;
+  // it breaks no select, and fsck reports it.
+  Volume volume(16);
+  write_states(volume, "alpha", 2, 2, CheckpointMode::kDrms);
+  volume.create(commit_file_name("alpha.odd"))
+      .write_at(0, with_last_count(encode_commit_manifest(CommitManifest{}),
+                                   kHugeCount));
+
+  const CommitCheck check = commit_status(volume, "alpha.odd", false);
+  EXPECT_FALSE(check.committed);
+  ASSERT_FALSE(check.problems.empty());
+  EXPECT_NE(check.problems[0].find("entry count exceeds the record"),
+            std::string::npos)
+      << check.problems[0];
+  const auto records = list_checkpoints(volume);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].prefix, "alpha.even");
+  bool flagged = false;
+  for (const auto& state : fsck_scan(volume)) {
+    if (state.prefix == "alpha.odd") {
+      flagged = true;
+      EXPECT_FALSE(state.committed);
+    }
+  }
+  EXPECT_TRUE(flagged);
+}
+
+/// Restarts the SPMD states write_states leaves, on `tasks` tasks.
+drms::rt::TaskGroupResult restart_spmd(Volume& volume,
+                                       const std::string& app, int tasks,
+                                       const std::string& prefix) {
+  DrmsEnv env;
+  env.storage = &volume.backend();
+  env.mode = CheckpointMode::kSpmd;
+  env.restart_prefix = prefix;
+  DrmsProgram program(app, env, tiny_segment(), tasks);
+  TaskGroup group(placement_of(tasks));
+  return group.run([&](TaskContext& ctx) {
+    DrmsContext drms(program, ctx);
+    std::int64_t it = 0;
+    drms.store().register_i64("it", &it);
+    drms.initialize();
+  });
+}
+
+TEST(CheckpointCatalog, SpmdTaskSizeBeyondItsFileIsCorrupt) {
+  // Task 1's record head claims a body of 2^64 - 5 bytes, where offset,
+  // head and size wrap around: verify reports it and the restart fails
+  // typed, before either allocates.
+  Volume volume(16);
+  write_states(volume, "gamma", 2, 1, CheckpointMode::kSpmd);
+  const auto records = list_checkpoints(volume);
+  ASSERT_EQ(records.size(), 1u);
+  ASSERT_TRUE(restart_spmd(volume, "gamma", 2, "gamma.even").completed);
+  support::ByteBuffer size;
+  size.put_u64(~std::uint64_t{0} - 4);
+  volume.open(spmd_task_file_name("gamma.even", 1)).write_at(0, size.bytes());
+
+  const std::string problem =
+      spmd_task_file_name("gamma.even", 1) + ": truncated record body";
+  for (const bool deep : {false, true}) {
+    const VerifyResult v = verify_checkpoint(volume, records[0], deep);
+    EXPECT_FALSE(v.ok);
+    EXPECT_EQ(v.problems, std::vector<std::string>{problem}) << deep;
+  }
+  const auto restart = restart_spmd(volume, "gamma", 2, "gamma.even");
+  EXPECT_FALSE(restart.completed);
+  EXPECT_NE(restart.kill_reason.find(problem), std::string::npos)
+      << restart.kill_reason;
+}
+
+TEST(CheckpointCatalog, SpmdTaskFilesOfDifferentSizesVerifyAndRestore) {
+  // With shadow width 1, task 1 of block_auto(cube(6), 3) holds a larger
+  // local section than tasks 0 and 2, and a zero segment model pads
+  // nothing: the writer commits task files of different sizes, and the
+  // meta's segment_bytes is task 0's. Deep verify checks each against its
+  // manifest entry, and a 3-task restart is bit-exact.
+  Volume volume(16);
+  std::array<std::uint32_t, 3> before{};
+  std::array<std::uint32_t, 3> after{};
+  const auto run = [&](const std::string& restart,
+                       std::array<std::uint32_t, 3>& crcs) {
+    DrmsEnv env;
+    env.storage = &volume.backend();
+    env.mode = CheckpointMode::kSpmd;
+    env.restart_prefix = restart;
+    DrmsProgram program("gamma", env, AppSegmentModel{}, 3);
+    TaskGroup group(placement_of(3));
+    return group.run([&](TaskContext& ctx) {
+      DrmsContext drms(program, ctx);
+      drms.initialize();
+      const std::array<Index, 3> lo{0, 0, 0};
+      const std::array<Index, 3> hi{5, 5, 5};
+      DistArray& u = drms.create_array("u", lo, hi);
+      drms.distribute(u, DistSpec::block_auto(cube(6), 3,
+                                              std::vector<Index>(3, 1)));
+      if (!drms.restarted()) {
+        drms::test::fill_assigned_tagged(u, ctx.rank());
+        ctx.barrier();
+        (void)drms.reconfig_checkpoint("gamma.even");
+      }
+      crcs[static_cast<std::size_t>(ctx.rank())] =
+          support::crc32c(std::as_const(u.local(ctx.rank())).bytes());
+    });
+  };
+  ASSERT_TRUE(run("", before).completed);
+  const auto records = list_checkpoints(volume);
+  ASSERT_EQ(records.size(), 1u);
+  ASSERT_TRUE(records[0].spmd);
+  const std::uint64_t task0 =
+      volume.backend().file_size(spmd_task_file_name("gamma.even", 0));
+  EXPECT_EQ(records[0].meta.segment_bytes, task0);
+  EXPECT_GT(volume.backend().file_size(spmd_task_file_name("gamma.even", 1)),
+            task0);
+
+  const VerifyResult v = verify_checkpoint(volume, records[0], /*deep=*/true);
+  EXPECT_TRUE(v.ok) << (v.problems.empty() ? "" : v.problems.front());
+  const auto restart = run("gamma.even", after);
+  ASSERT_TRUE(restart.completed) << restart.kill_reason;
+  EXPECT_EQ(after, before);
 }
 
 }  // namespace

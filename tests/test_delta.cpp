@@ -13,7 +13,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -431,12 +433,12 @@ TEST(DeltaFormat, VersionOneFilesAreRejected) {
       write_delta_file(storage, "d", d.header, d.payload,
                        encode_delta_index({d.record}).bytes());
   std::vector<std::string> problems;
-  ASSERT_TRUE(verify_delta_file(storage, "d", file.size(), true, problems));
+  ASSERT_TRUE(verify_delta_file(file, "d", true, problems));
   support::ByteBuffer version;
   version.put_u32(1);
   file.write_at(4, version.bytes());
   EXPECT_THROW((void)read_delta_header(file, "d"), support::CorruptCheckpoint);
-  EXPECT_FALSE(verify_delta_file(storage, "d", file.size(), false, problems));
+  EXPECT_FALSE(verify_delta_file(file, "d", false, problems));
   ASSERT_EQ(problems.size(), 1u);
   EXPECT_NE(problems[0].find("unsupported delta version"), std::string::npos)
       << problems[0];
@@ -584,7 +586,7 @@ TEST(DeltaFormat, RawAndEncodedBlocksReadBackAndVerify) {
   file.write_at(0, encode_delta_header(h).bytes());
   file.write_at(h.index_offset, encode_delta_index(records).bytes());
   std::vector<std::string> problems;
-  EXPECT_TRUE(verify_delta_file(storage, "d", file.size(), true, problems));
+  EXPECT_TRUE(verify_delta_file(file, "d", true, problems));
 
   const std::uint64_t at =
       wire::kDeltaHeaderBytes + raw_block->payload_offset + 3;
@@ -592,9 +594,9 @@ TEST(DeltaFormat, RawAndEncodedBlocksReadBackAndVerify) {
   byte[0] ^= std::byte{0x01};
   file.write_at(at, byte);
   const std::string mismatch =
-      "block " + std::to_string(raw_block->block_index) +
-      " stored CRC mismatch";
-  EXPECT_FALSE(verify_delta_file(storage, "d", file.size(), true, problems));
+      "delta block " + std::to_string(raw_block->block_index) +
+      ": stored CRC mismatch";
+  EXPECT_FALSE(verify_delta_file(file, "d", true, problems));
   ASSERT_EQ(problems.size(), 1u);
   EXPECT_NE(problems[0].find(mismatch), std::string::npos) << problems[0];
   const auto corrupt = run(false);
@@ -787,12 +789,15 @@ DrmsEnv delta_env(Volume& volume, int full_every_k,
 }
 
 /// Runs DeltaApp on 4 tasks to iteration 9: g2 full, then the depth-3
-/// chain of deltas g4, g6 and g8.
-bool write_chain(Volume& volume) {
+/// chain of deltas g4, g6 and g8. Run to 11, it adds g10, a full
+/// generation.
+bool write_chain(Volume& volume, int iterations = 9) {
   DrmsProgram program("dc", delta_env(volume, 4), tiny_segment(), 4);
   TaskGroup group(placement_of(4));
   return group
-      .run([&](TaskContext& ctx) { DeltaApp::run(program, ctx, 9, "dc"); })
+      .run([&](TaskContext& ctx) {
+        DeltaApp::run(program, ctx, iterations, "dc");
+      })
       .completed;
 }
 
@@ -1210,18 +1215,30 @@ TEST(DeltaChain, RestartReadsEachBlockOnceFromItsNewestLink) {
                 newest_payload(name))
           << name;
     }
-    // The chain resolves once per task, not once per array: each of the 6
-    // tasks opens and reads every chain member's meta once. (The commit
-    // checks are exists() calls, which the decorator does not record.)
+    // The chain resolves once per task over the commit manifests: each of
+    // the 6 tasks opens and reads every member's manifest once, the tip's
+    // meta (its own) and the base's meta once, and no other meta.
     drms::obs::Recorder one;
     drms::obs::InstrumentedBackend probe(volume.backend(), &one, "pio");
-    (void)read_checkpoint_meta(probe, "dc.g2");
+    MetaCache metas;  // the base walk reads g2's manifest and meta once
+    (void)walk_checkpoint_chain(probe, "dc.g2", false, metas);
     const int reads_per_meta = ops_on(one, meta_file_name("dc.g2"), "read_at");
+    const int reads_per_commit =
+        ops_on(one, commit_file_name("dc.g2"), "read_at");
     ASSERT_GT(reads_per_meta, 0);
+    ASSERT_GT(reads_per_commit, 0);
     for (const char* link : {"dc.g2", "dc.g4", "dc.g6", "dc.g8"}) {
-      EXPECT_EQ(ops_on(rec, meta_file_name(link), "open"), 6) << link;
+      EXPECT_EQ(ops_on(rec, commit_file_name(link), "open"), 6) << link;
+      EXPECT_EQ(ops_on(rec, commit_file_name(link), "read_at"),
+                6 * reads_per_commit)
+          << link;
+      const int meta_reads =
+          std::string(link) == "dc.g2" || std::string(link) == "dc.g8" ? 6
+                                                                       : 0;
+      EXPECT_EQ(ops_on(rec, meta_file_name(link), "open"), meta_reads)
+          << link;
       EXPECT_EQ(ops_on(rec, meta_file_name(link), "read_at"),
-                6 * reads_per_meta)
+                meta_reads * reads_per_meta)
           << link;
     }
   }
@@ -1332,6 +1349,145 @@ TEST(DeltaChain, RestartChecksEveryByteItKeeps) {
                           [&](const std::string& p) {
                             return p.find(older) != std::string::npos;
                           }));
+}
+
+TEST(DeltaChain, DeepVerifyReadsEachChainMemberOnce) {
+  // Selecting the tip opens each listed generation's meta once; deep
+  // verify of the tip walks the chain once, opening each member's commit
+  // manifest and meta once, and reads every byte of every member's
+  // arrays: each base array file whole, each link's whole payload.
+  Volume volume(16);
+  ASSERT_TRUE(write_chain(volume));
+  const std::array<std::string, 4> links{"dc.g2", "dc.g4", "dc.g6", "dc.g8"};
+  std::optional<CheckpointRecord> tip;
+  {
+    drms::obs::Recorder rec;
+    drms::obs::InstrumentedBackend storage(volume.backend(), &rec, "pio");
+    tip = latest_checkpoint(storage, "dc");
+    for (const std::string& link : links) {
+      EXPECT_EQ(ops_on(rec, meta_file_name(link), "open"), 1) << link;
+    }
+  }
+  ASSERT_TRUE(tip.has_value());
+  ASSERT_EQ(tip->prefix, "dc.g8");
+  drms::obs::Recorder rec;
+  drms::obs::InstrumentedBackend storage(volume.backend(), &rec, "pio");
+  const VerifyResult v = verify_checkpoint(storage, *tip, /*deep=*/true);
+  EXPECT_TRUE(v.ok) << (v.problems.empty() ? "" : v.problems.front());
+  for (const std::string& link : links) {
+    EXPECT_EQ(ops_on(rec, commit_file_name(link), "open"), 1) << link;
+    EXPECT_EQ(ops_on(rec, meta_file_name(link), "open"), 1) << link;
+  }
+  for (const char* name : DeltaApp::kArrays) {
+    EXPECT_EQ(bytes_read(rec, array_file_name("dc.g2", name)),
+              kN * kN * kN * sizeof(double))
+        << name;
+    for (std::size_t g = 1; g < links.size(); ++g) {
+      const std::string file = delta_array_file_name(links[g], name);
+      EXPECT_EQ(payload_read(rec, volume, file),
+                read_delta_header(volume.open(file), file).payload_bytes)
+          << file;
+    }
+  }
+}
+
+/// Rewrites `prefix`'s commit manifest through `edit`, CRC-consistent.
+void rewrite_manifest(Volume& volume, const std::string& prefix,
+                      const std::function<void(CommitManifest&)>& edit) {
+  std::vector<std::string> problems;
+  CommitManifest manifest = *check_commit(volume, prefix, problems);
+  edit(manifest);
+  volume.create(commit_file_name(prefix))
+      .write_at(0, encode_commit_manifest(manifest).bytes());
+}
+
+/// Every reader's verdict on write_chain's tip dc.g8 once `corrupt` has
+/// broken its chain (run to 11, so g10 is a full generation outside it):
+/// commit_status, list_checkpoints, verify_checkpoint, both
+/// resolve_checkpoint_chain overloads and a restart all report the
+/// chain walk's first problem, and retention with g8 pinned keeps no
+/// generation on the broken chain's account.
+void expect_broken_chain_everywhere(
+    const std::function<void(Volume&)>& corrupt) {
+  Volume volume(16);
+  ASSERT_TRUE(write_chain(volume, 11));
+  ASSERT_TRUE(commit_status(volume, "dc.g8", false).committed);
+  corrupt(volume);
+
+  const CommitCheck check = commit_status(volume, "dc.g8", false);
+  ASSERT_FALSE(check.committed);
+  ASSERT_FALSE(check.problems.empty());
+  const std::string& problem = check.problems.front();
+  for (const auto& r : list_checkpoints(volume)) {
+    EXPECT_NE(r.prefix, "dc.g8");
+  }
+  CheckpointRecord record;
+  record.prefix = "dc.g8";
+  record.meta = read_checkpoint_meta(volume, "dc.g8");
+  EXPECT_EQ(verify_checkpoint(volume, record, /*deep=*/true).problems,
+            check.problems);
+  const auto throws_problem = [&](const auto& resolve) {
+    try {
+      resolve();
+      ADD_FAILURE() << "the chain resolved";
+    } catch (const support::CorruptCheckpoint& e) {
+      EXPECT_EQ(e.what(), problem);
+    }
+  };
+  throws_problem([&] { (void)resolve_checkpoint_chain(volume, "dc.g8"); });
+  throws_problem([&] {
+    (void)resolve_checkpoint_chain(volume, "dc.g8", record.meta);
+  });
+  const TipRestart restart = restart_from_tip(volume, volume.backend());
+  EXPECT_FALSE(restart.run.completed);
+  EXPECT_NE(restart.run.kill_reason.find(problem), std::string::npos)
+      << restart.run.kill_reason;
+
+  const std::array<std::string, 1> pin{"dc.g8"};
+  (void)gc_superseded_states(volume.backend(), "dc", "", 1, pin);
+  const auto left = restart_candidates(volume, "dc");
+  ASSERT_EQ(left.size(), 1u);
+  EXPECT_EQ(left[0].prefix, "dc.g10");
+}
+
+TEST(DeltaChain, CyclicManifestChainIsBrokenForEveryReader) {
+  // g4's manifest names g6, which names g4: the metas still chain to g2.
+  expect_broken_chain_everywhere([](Volume& volume) {
+    rewrite_manifest(volume, "dc.g4",
+                     [](CommitManifest& m) { m.base_prefix = "dc.g6"; });
+  });
+}
+
+TEST(DeltaChain, SpmdBaseManifestIsBrokenForEveryReader) {
+  expect_broken_chain_everywhere([](Volume& volume) {
+    rewrite_manifest(volume, "dc.g2",
+                     [](CommitManifest& m) { m.spmd = true; });
+  });
+}
+
+TEST(DeltaChain, MemberMissingAListedFileIsBrokenForEveryReader) {
+  // A file a restart of g8 never reads.
+  expect_broken_chain_everywhere([](Volume& volume) {
+    volume.remove(segment_file_name("dc.g6"));
+  });
+}
+
+TEST(DeltaChain, BaseWhoseMetaIsADeltaIsBrokenForEveryReader) {
+  // g2's meta file holds g4's delta meta, and g2's manifest lists it at
+  // its size and CRC.
+  expect_broken_chain_everywhere([](Volume& volume) {
+    const drms::store::FileHandle g4 = volume.open(meta_file_name("dc.g4"));
+    const std::vector<std::byte> image = g4.read_at(0, g4.size());
+    volume.create(meta_file_name("dc.g2")).write_at(0, image);
+    rewrite_manifest(volume, "dc.g2", [&](CommitManifest& m) {
+      for (CommitEntry& e : m.entries) {
+        if (e.name == meta_file_name("dc.g2")) {
+          e.size = image.size();
+          e.crc = support::crc32c(image);
+        }
+      }
+    });
+  });
 }
 
 TEST(DeltaChain, LinksWithDifferentBlockTargetsRestoreExactly) {

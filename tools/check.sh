@@ -58,12 +58,19 @@ if [[ -n "${tsan}" ]]; then
   fi
 fi
 
+# A new tree uses Ninja when it is installed: the Makefile generator builds
+# the TARGETS one at a time, so their test sources (one per target)
+# would compile serially. An existing tree keeps its generator.
+generator=()
+if [[ ! -f "${build}/CMakeCache.txt" ]] && command -v ninja >/dev/null; then
+  generator=(-G Ninja)
+fi
 if [[ -n "${coverage}" ]]; then
-  cmake -B "${build}" -S "${repo}" -DCOVERAGE=ON -DCMAKE_BUILD_TYPE=Debug
+  cmake -B "${build}" -S "${repo}" "${generator[@]}" -DCOVERAGE=ON -DCMAKE_BUILD_TYPE=Debug
 elif [[ -n "${tsan}" ]]; then
-  cmake -B "${build}" -S "${repo}" -DTSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake -B "${build}" -S "${repo}" "${generator[@]}" -DTSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 else
-  cmake -B "${build}" -S "${repo}" -DASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake -B "${build}" -S "${repo}" "${generator[@]}" -DASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 fi
 if [[ -n "${TARGETS:-}" ]]; then
   # shellcheck disable=SC2086
