@@ -89,8 +89,6 @@ void DrmsContext::initialize() {
                           env.target_chunk_bytes, env.jitter, env.recorder);
     restart_meta_ = engine.restore_segment(ctx_, env.restart_prefix, store_,
                                            program_.segment_model_, timing);
-    restart_chain_ = resolve_checkpoint_chain(
-        *env.storage, env.restart_prefix, *restart_meta_);
   } else {
     SpmdCheckpoint engine(*env.storage, make_load_context(), env.jitter,
                           env.recorder);
@@ -98,13 +96,37 @@ void DrmsContext::initialize() {
                                          program_.segment_model_, timing,
                                          spmd_cursor_);
   }
+  const bool chained = env.mode == CheckpointMode::kDrms;
   if (ctx_.rank() == 0) {
+    // Task 0 walks the chain once for the whole group; every task takes
+    // the chain, or the walk's error, after the barrier.
+    CheckpointChain chain;
+    std::string broken;
+    if (chained) {
+      try {
+        chain = resolve_checkpoint_chain(*env.storage, env.restart_prefix,
+                                         *restart_meta_);
+      } catch (const support::CorruptCheckpoint& e) {
+        broken = e.what();
+      }
+    }
     const std::lock_guard<std::mutex> lock(program_.mutex_);
-    program_.last_restart_ = timing;
-    program_.restart_meta_ = restart_meta_;
+    program_.restart_chain_ = std::move(chain);
+    program_.restart_chain_error_ = broken;
+    if (broken.empty()) {
+      program_.last_restart_ = timing;
+      program_.restart_meta_ = restart_meta_;
+    }
   }
   restart_timing_ = timing;
   ctx_.barrier();
+  if (chained) {
+    const std::lock_guard<std::mutex> lock(program_.mutex_);
+    if (!program_.restart_chain_error_.empty()) {
+      throw support::CorruptCheckpoint(program_.restart_chain_error_);
+    }
+    restart_chain_ = program_.restart_chain_;
+  }
 }
 
 int DrmsContext::checkpoint_task_count() const noexcept {

@@ -169,6 +169,10 @@ class DrmsProgram {
   RestartTiming last_restart_;
   /// Meta of the checkpoint being restored (set during initialize()).
   std::optional<CheckpointMeta> restart_meta_;
+  /// DRMS restarts: the chain task 0 walked during initialize(), or the
+  /// walk's error when it is not empty; every task copies it.
+  CheckpointChain restart_chain_;
+  std::string restart_chain_error_;
   /// Live delta chain between checkpoints. The engine copies it on every
   /// task at its entry barrier and mutates it on task 0 after the commit,
   /// so no additional locking is required during a collective write.
@@ -269,8 +273,8 @@ class DrmsContext {
   bool partial_restored_ = false;
   std::int64_t sop_counter_ = 0;
   std::optional<CheckpointMeta> restart_meta_;
-  /// DRMS restarts: the chain restart_meta_'s generation replays,
-  /// resolved once with it and shared by every array's restore.
+  /// DRMS restarts: the chain restart_meta_'s generation replays, walked
+  /// once per restart (on task 0) and shared by every array's restore.
   CheckpointChain restart_chain_;
   SpmdRestoreCursor spmd_cursor_;
   RestartTiming restart_timing_;

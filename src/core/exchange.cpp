@@ -22,15 +22,23 @@ void exchange_sections(rt::TaskContext& ctx,
   const Slice& my_assigned = src_assigned[static_cast<std::size_t>(me)];
   const Slice& my_mapped = dst_mapped[static_cast<std::size_t>(me)];
 
-  // Outgoing: the piece of my assigned source data needed by each task's
-  // mapped destination. Both sides compute the same intersection slice, so
-  // messages carry only raw element bytes in stream order.
+  // Outgoing: the piece of my assigned source data needed by each other
+  // task's mapped destination. Both sides compute the same intersection
+  // slice, so messages carry only raw element bytes in stream order. My
+  // own piece skips the mailbox: it is copied from my source straight into
+  // my destination below, and still counted as sent and received.
   std::vector<support::ByteBuffer> outgoing(static_cast<std::size_t>(p));
+  std::uint64_t own_bytes = 0;
   if (my_src != nullptr && !my_assigned.empty()) {
     for (int dst = 0; dst < p; ++dst) {
       const Slice piece =
           my_assigned.intersect(dst_mapped[static_cast<std::size_t>(dst)]);
       if (piece.empty()) {
+        continue;
+      }
+      if (dst == me) {
+        own_bytes =
+            static_cast<std::uint64_t>(piece.element_count()) * elem_size;
         continue;
       }
       // Gather straight into the outgoing mailbox buffer: the buffer grows
@@ -45,7 +53,7 @@ void exchange_sections(rt::TaskContext& ctx,
   }
 
   if (recorder != nullptr) {
-    std::uint64_t bytes_out = 0;
+    std::uint64_t bytes_out = own_bytes;
     for (const auto& buf : outgoing) {
       bytes_out += buf.size();
     }
@@ -56,7 +64,7 @@ void exchange_sections(rt::TaskContext& ctx,
       rt::all_to_all(ctx, std::move(outgoing));
 
   if (recorder != nullptr) {
-    std::uint64_t bytes_in = 0;
+    std::uint64_t bytes_in = own_bytes;
     for (const auto& buf : incoming) {
       bytes_in += buf.size();
     }
@@ -68,6 +76,10 @@ void exchange_sections(rt::TaskContext& ctx,
       const Slice piece =
           src_assigned[static_cast<std::size_t>(src)].intersect(my_mapped);
       if (piece.empty()) {
+        continue;
+      }
+      if (src == me && my_src != nullptr) {
+        my_dst->copy_from(*my_src, piece);
         continue;
       }
       const auto& buf = incoming[static_cast<std::size_t>(src)];

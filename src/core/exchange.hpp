@@ -8,7 +8,12 @@
 // COLLECTIVE: every task of the group must call with identical
 // `src_assigned` and `dst_mapped` vectors (they are global metadata);
 // `my_src`/`my_dst` are the calling task's local sections (null when the
-// task holds no source/destination data).
+// task holds no source/destination data; they may be the same array).
+//
+// Pieces for other tasks travel through the mailboxes as stream-ordered
+// bytes. The task's own piece, my_assigned ∩ my_mapped, is copied from
+// `my_src` straight into `my_dst` (LocalArray::copy_from) and marks the
+// destination's dirty log as an insert would.
 #pragma once
 
 #include <vector>
@@ -21,7 +26,8 @@
 namespace drms::core {
 
 /// `recorder`, when non-null, gets one "exchange"/"sections" span per
-/// call (attrs: bytes sent/received) plus byte counters.
+/// call (attrs: bytes sent/received) plus byte counters, which count the
+/// task's own piece as sent and received.
 void exchange_sections(rt::TaskContext& ctx,
                        const std::vector<Slice>& src_assigned,
                        const LocalArray* my_src,

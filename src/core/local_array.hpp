@@ -1,9 +1,10 @@
 // Per-task storage for a mapped array section. Elements are laid out in
 // column-major order over the mapped slice's own index space, so the
 // canonical streaming chunks (whose mapped section IS the chunk) are
-// already in stream order in memory. Storage is zero-initialized and
-// comes from the process-wide page pool (support/page_pool.hpp) from one
-// 64 KiB unit up, from the system allocator below; copies are deep.
+// already in stream order in memory. Storage is zero-initialized unless
+// the caller overwrites all of it, and comes from the process-wide page
+// pool (support/page_pool.hpp) from one 64 KiB unit up, from the system
+// allocator below; copies are deep.
 #pragma once
 
 #include <cstddef>
@@ -69,9 +70,12 @@ class LocalArray {
  public:
   /// An empty local array (no mapped section).
   LocalArray() = default;
-  /// Allocate zero-initialized storage for `mapped` with `elem_size`-byte
-  /// elements.
-  LocalArray(Slice mapped, std::size_t elem_size);
+  /// Allocate storage for `mapped` with `elem_size`-byte elements, zeroed
+  /// unless `init` is kUninitialized (for a caller that writes every byte
+  /// before reading any).
+  LocalArray(Slice mapped, std::size_t elem_size,
+             support::PageBuffer::Init init =
+                 support::PageBuffer::Init::kZeroed);
 
   [[nodiscard]] const Slice& mapped() const noexcept { return mapped_; }
   [[nodiscard]] std::size_t elem_size() const noexcept { return elem_size_; }
@@ -111,6 +115,12 @@ class LocalArray {
   /// Inverse of extract: scatter stream-ordered bytes into sub-slice `s`.
   void insert(const Slice& s, std::span<const std::byte> in);
 
+  /// Copy sub-slice `s` (covered by both mapped sections) from `src`
+  /// straight into this array: src.extract(s) then insert(s) without the
+  /// stream buffer, one memcpy per run that is contiguous on both sides.
+  /// Marks the dirty log as insert() does.
+  void copy_from(const LocalArray& src, const Slice& s);
+
   /// Typed element accessors (for solvers and tests; double arrays are the
   /// common case in the paper's CFD workloads).
   [[nodiscard]] double get_f64(std::span<const Index> point) const;
@@ -122,12 +132,10 @@ class LocalArray {
   [[nodiscard]] std::span<const double> as_f64() const;
 
  private:
-  /// Calls copy(offset, bytes) for each contiguous run of data_ that holds
-  /// sub-slice `s`, in stream order; throws if `s` is not covered by
-  /// mapped(). Leading axes that span their full mapped extent merge with
-  /// the next consecutive axis into one run.
-  template <typename Copy>
-  void for_each_run(const Slice& s, Copy&& copy) const;
+  /// Per axis of sub-slice `s`, the byte offset in data_ of each of the
+  /// axis's values; throws if `s` is not covered by mapped().
+  [[nodiscard]] std::vector<std::vector<std::size_t>> axis_offsets(
+      const Slice& s) const;
 
   Slice mapped_;
   std::size_t elem_size_ = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <functional>
-#include <future>
 #include <optional>
 #include <utility>
 
@@ -70,7 +69,7 @@ struct Round {
   std::uint64_t raw_bytes = 0;      // section bytes of the round's items
 };
 
-/// Per-chunk CRCs of one section stream. A worker folds its chunk's CRC
+/// Per-chunk CRCs of one section stream. A lane job folds its chunk's CRC
 /// into the staging slot's entry; landing records it in chunk order.
 struct ChunkCrcs {
   bool wanted = false;
@@ -97,11 +96,11 @@ struct ArrayStreamer::Stages {
   /// Section of item i (the canonical distribution puts it whole in the
   /// task that carries it).
   std::function<const Slice&(std::size_t)> slice_of;
-  /// I/O stage, run on a background worker against the carried item's
+  /// I/O stage, run on the task's I/O lane against the carried item's
   /// staging. Empty when the landing step does the I/O itself.
   std::function<void(const Round&, LocalArray&)> work;
-  /// Runs on every task, in round order, after the round's worker has
-  /// joined; returns the bytes the round is charged for.
+  /// Runs on every task, in round order, after the round's job has
+  /// finished; returns the bytes the round is charged for.
   std::function<std::uint64_t(const Round&, const LocalArray&)> land;
 };
 
@@ -153,16 +152,25 @@ void ArrayStreamer::run_rounds(rt::TaskContext& ctx, const DistArray& array,
           : 1.0;
 
   // Two staging slots alternate. A slot is either exchanging (task
-  // thread) or in flight (worker), never both, and is staged again only
-  // after its round has landed. Declaration order matters: an async
-  // future blocks in its destructor, so the slots, declared first,
-  // outlive their workers on every unwind path.
-  std::array<LocalArray, 2> staging;
-  std::array<std::future<void>, 2> inflight;
-  // Opened at launch and closed at the join, both on the task thread, so
-  // the recorded overlap (round r+1's exchange opening before round r's
-  // in-flight span closes) is program order and deterministic.
-  std::array<std::size_t, 2> inflight_span{obs::kNoSpan, obs::kNoSpan};
+  // thread) or in flight (the task's I/O lane), never both, and is staged
+  // again only after its round has landed.
+  struct Slot {
+    LocalArray staging;
+    // Declared after staging: an unwind waits for the job first.
+    rt::TaskContext::LaneTicket inflight;
+    // Opened at launch and closed at the landing, both on the task
+    // thread, so the recorded overlap (round r+1's exchange opening before
+    // round r's in-flight span closes) is program order and deterministic.
+    std::size_t span = obs::kNoSpan;
+  };
+  std::array<Slot, 2> slots;
+  // Every staged byte is overwritten before it is read when the job
+  // lands the whole item (a read) or the exchange gathers every element
+  // (a write of a fully assigned array). A partially assigned array's
+  // unassigned elements stream as zeros.
+  const auto init = reading || array.distribution().fully_assigned()
+                        ? support::PageBuffer::Init::kUninitialized
+                        : support::PageBuffer::Init::kZeroed;
 
   const auto round_of = [&](std::size_t r) {
     Round round;
@@ -181,27 +189,28 @@ void ArrayStreamer::run_rounds(rt::TaskContext& ctx, const DistArray& array,
     return round;
   };
   const auto stage = [&](const Round& round) {
-    staging[round.slot] = round.item
-                              ? LocalArray(stages.slice_of(*round.item), elem)
-                              : LocalArray();
+    slots[round.slot].staging =
+        round.item ? LocalArray(stages.slice_of(*round.item), elem, init)
+                   : LocalArray();
   };
   const auto launch = [&](const Round& round) {
     if (!round.item || !stages.work) {
       return;
     }
-    LocalArray& slot = staging[round.slot];
+    Slot& slot = slots[round.slot];
     if (recorder_ != nullptr) {
-      inflight_span[round.slot] = recorder_->begin_span(
+      slot.span = recorder_->begin_span(
           stages.category, reading ? "read_inflight" : "write_inflight", me,
           ctx.sim_time(),
           {obs::Attr::num("round", static_cast<std::int64_t>(round.index)),
            obs::Attr::num("chunk", static_cast<std::int64_t>(*round.item)),
-           obs::Attr::num("bytes",
-                          static_cast<std::int64_t>(slot.byte_size()))});
+           obs::Attr::num("bytes", static_cast<std::int64_t>(
+                                       slot.staging.byte_size()))});
     }
-    inflight[round.slot] =
-        std::async(std::launch::async,
-                   [&work = stages.work, round, &slot] { work(round, slot); });
+    slot.inflight = ctx.submit(
+        [&work = stages.work, round, &staging = slot.staging] {
+          work(round, staging);
+        });
   };
   // Redistribute the round between the array and the canonical
   // distribution, where task q holds the round's item q.
@@ -210,7 +219,8 @@ void ArrayStreamer::run_rounds(rt::TaskContext& ctx, const DistArray& array,
     for (std::size_t q = 0; q < round.count; ++q) {
       canonical[q] = stages.slice_of(round.first + q);
     }
-    LocalArray* const slot = round.item ? &staging[round.slot] : nullptr;
+    LocalArray* const slot =
+        round.item ? &slots[round.slot].staging : nullptr;
     obs::ScopedSpan span(
         recorder_, stages.category, "exchange", me, ctx.sim_time(),
         {obs::Attr::num("round", static_cast<std::int64_t>(round.index)),
@@ -227,16 +237,17 @@ void ArrayStreamer::run_rounds(rt::TaskContext& ctx, const DistArray& array,
     }
     span.end(ctx.sim_time());
   };
-  // Join the round's worker, rethrowing its error (a torn write,
+  // Wait for the round's job, rethrowing its error (a torn write,
   // exhausted retries, a corrupt block), then run the landing step.
   const auto land = [&](const Round& round) {
-    if (inflight[round.slot].valid()) {
-      inflight[round.slot].get();
+    Slot& slot = slots[round.slot];
+    if (slot.inflight.pending()) {
+      slot.inflight.wait();
       if (recorder_ != nullptr) {
-        recorder_->end_span(inflight_span[round.slot], ctx.sim_time());
+        recorder_->end_span(slot.span, ctx.sim_time());
       }
     }
-    return stages.land(round, staging[round.slot]);
+    return stages.land(round, slot.staging);
   };
   const auto charge = [&](const Round& round, std::uint64_t bytes) {
     if (timed) {
@@ -271,8 +282,8 @@ void ArrayStreamer::run_rounds(rt::TaskContext& ctx, const DistArray& array,
     }
     return;
   }
-  // Gather round r into its slot and launch its worker, then land r-1,
-  // whose worker ran during r's exchange, charge it, barrier. The last
+  // Gather round r into its slot and launch its job, then land r-1,
+  // whose job ran during r's exchange, charge it, barrier. The last
   // barrier follows the last landing: every task's writes have landed
   // when run_rounds returns, so a caller (e.g. the commit protocol) may
   // write its "data is complete" record.
@@ -525,7 +536,7 @@ std::uint64_t ArrayStreamer::write_section_sequential(
                    "section must lie within the array index space");
   const StreamPlan plan = make_stream_plan(x, array.elem_size(), 1,
                                            target_chunk_bytes_);
-  // No worker: task 0 appends in the landing step, on its own thread and
+  // No lane job: task 0 appends in the landing step, on its own thread and
   // in round order, so the channel sees the stream with no seek.
   const Stages stages{
       "stream", plan.chunk_count(), chunks_of(plan), {},
@@ -546,8 +557,8 @@ std::uint64_t ArrayStreamer::read_section_sequential(
                    "section must lie within the array index space");
   const StreamPlan plan = make_stream_plan(x, array.elem_size(), 1,
                                            target_chunk_bytes_);
-  // Task 0's worker consumes the channel. A read round has at most one
-  // worker in flight, so the reads stay in stream order.
+  // Task 0's lane consumes the channel, one job at a time and in round
+  // order, so the reads stay in stream order.
   const Stages stages{
       "stream", plan.chunk_count(), chunks_of(plan),
       [&](const Round&, LocalArray& staging) { source.read(staging.bytes()); },

@@ -14,11 +14,14 @@
 //
 // Every entry point runs one round pipeline (streamer.cpp, run_rounds):
 // in round r, I/O task q carries item r*P + q (a chunk or a delta block)
-// through a background worker and a landing step that runs on every task
-// in round order. Writes gather round r and launch its worker before
-// landing round r-1; reads land round r and launch round r+1's read
-// before scattering r. The serial forms are the P = 1 case, with the
-// channel as the I/O stage.
+// through a job on its I/O lane (rt::TaskContext::submit: one worker
+// thread per task, jobs in submission order) and a landing step that runs
+// on every task in round order. Writes gather round r and submit its job
+// before landing round r-1; reads land round r and submit round r+1's
+// read before scattering r. The serial forms are the P = 1 case, with the
+// channel as the I/O stage. Staging slots are not zero-filled when every
+// byte is overwritten before it is read: on every read, and on writes of
+// a fully assigned array.
 #pragma once
 
 #include <cstdint>
@@ -121,7 +124,7 @@ class ArrayStreamer {
   /// the array's stream-order block plan) out to `file`'s payload region
   /// (starting at wire::kDeltaHeaderBytes), passing each block through
   /// the codec stage where write_section folds in the CRC: round r's
-  /// blocks compress on a background worker while round r+1's exchange
+  /// blocks compress on the task's I/O lane while round r+1's exchange
   /// runs, and are written once the round's stored sizes have been agreed
   /// collectively (compressed sizes are data-dependent, so offsets cannot
   /// be precomputed), while round r+1's blocks compress. The caller
@@ -136,7 +139,7 @@ class ArrayStreamer {
                                       support::BlockCodec codec) const;
 
   /// COLLECTIVE: the restore inverse — read each indexed block's stored
-  /// bytes, verify + decode on a background worker (overlapping the
+  /// bytes, verify + decode on the task's I/O lane (overlapping the
   /// previous round's scatter exchange), and scatter the raw block into
   /// the array's current distribution. The records must name distinct
   /// blocks of `blocks`, each at its block's size; a later call

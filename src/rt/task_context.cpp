@@ -1,9 +1,103 @@
 #include "rt/task_context.hpp"
 
+#include <condition_variable>
+#include <deque>
+#include <exception>
+#include <mutex>
+#include <thread>
+
 #include "rt/task_group.hpp"
 #include "support/error.hpp"
 
 namespace drms::rt {
+
+/// A worker thread that runs queued jobs one at a time, oldest first.
+struct TaskContext::Lane {
+  struct Job {
+    std::function<void()> run;
+    std::promise<void> done;
+  };
+
+  std::mutex mutex;
+  std::condition_variable ready;
+  std::deque<Job> jobs;
+  bool closing = false;
+  std::thread worker{[this] { serve(); }};  // declared last: starts last
+
+  Lane() = default;
+  Lane(const Lane&) = delete;
+  Lane& operator=(const Lane&) = delete;
+  ~Lane() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      closing = true;
+    }
+    ready.notify_one();
+    worker.join();
+  }
+
+  void serve() {
+    std::unique_lock<std::mutex> lock(mutex);
+    for (;;) {
+      ready.wait(lock, [this] { return closing || !jobs.empty(); });
+      if (jobs.empty()) {
+        return;
+      }
+      Job job = std::move(jobs.front());
+      jobs.pop_front();
+      lock.unlock();
+      std::exception_ptr error;
+      try {
+        job.run();
+      } catch (...) {
+        error = std::current_exception();
+      }
+      // Release the job's captures before its ticket can return.
+      job.run = nullptr;
+      if (error) {
+        job.done.set_exception(error);
+      } else {
+        job.done.set_value();
+      }
+      lock.lock();
+    }
+  }
+};
+
+TaskContext::LaneTicket& TaskContext::LaneTicket::operator=(
+    LaneTicket&& other) noexcept {
+  if (done_.valid()) {
+    done_.wait();
+  }
+  done_ = std::move(other.done_);
+  return *this;
+}
+
+TaskContext::LaneTicket::~LaneTicket() {
+  if (done_.valid()) {
+    done_.wait();
+  }
+}
+
+void TaskContext::LaneTicket::wait() {
+  DRMS_EXPECTS_MSG(done_.valid(), "wait() on a ticket with no job");
+  done_.get();
+}
+
+TaskContext::LaneTicket TaskContext::submit(std::function<void()> job) {
+  DRMS_EXPECTS(job != nullptr);
+  if (lane_ == nullptr) {
+    lane_ = std::make_unique<Lane>();
+  }
+  Lane::Job queued{std::move(job), {}};
+  LaneTicket ticket(queued.done.get_future());
+  {
+    const std::lock_guard<std::mutex> lock(lane_->mutex);
+    lane_->jobs.push_back(std::move(queued));
+  }
+  lane_->ready.notify_one();
+  return ticket;
+}
 
 TaskContext::TaskContext(TaskGroup& group, int rank)
     : group_(group),
@@ -13,6 +107,8 @@ TaskContext::TaskContext(TaskGroup& group, int rank)
       shared_rng_(group.seed() ^ 0x7368617265645f72ull) {
   DRMS_EXPECTS(rank >= 0 && rank < group.task_count());
 }
+
+TaskContext::~TaskContext() = default;
 
 int TaskContext::size() const noexcept { return group_.task_count(); }
 

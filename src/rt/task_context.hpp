@@ -1,9 +1,12 @@
 // Per-task handle passed to the SPMD function: rank/size, point-to-point
-// messaging, barrier, simulated-time accounting, and a deterministic
-// per-task RNG stream.
+// messaging, barrier, simulated-time accounting, a deterministic per-task
+// RNG stream, and the task's I/O lane.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <future>
+#include <memory>
 
 #include "rt/message.hpp"
 #include "sim/machine.hpp"
@@ -17,6 +20,8 @@ class TaskGroup;
 class TaskContext {
  public:
   TaskContext(TaskGroup& group, int rank);
+  /// Joins the I/O lane, if one was started.
+  ~TaskContext();
 
   TaskContext(const TaskContext&) = delete;
   TaskContext& operator=(const TaskContext&) = delete;
@@ -89,6 +94,35 @@ class TaskContext {
   /// would bias every barrier toward max-of-N draws.
   [[nodiscard]] support::Rng& shared_rng() noexcept { return shared_rng_; }
 
+  /// ---- I/O lane -------------------------------------------------------------
+  /// One job queued on the lane. wait() blocks until the job has run and
+  /// rethrows what it threw. The destructor waits too (and drops the
+  /// error), so a caller that unwinds never frees what a running job
+  /// still uses. A ticket must not outlive the context that issued it.
+  class LaneTicket {
+   public:
+    LaneTicket() = default;
+    LaneTicket(LaneTicket&&) noexcept = default;
+    /// Waits for the job this ticket held, if any, before taking over.
+    LaneTicket& operator=(LaneTicket&& other) noexcept;
+    ~LaneTicket();
+
+    /// True from submission until wait() returns or throws.
+    [[nodiscard]] bool pending() const noexcept { return done_.valid(); }
+    void wait();
+
+   private:
+    friend class TaskContext;
+    explicit LaneTicket(std::future<void> done) : done_(std::move(done)) {}
+    std::future<void> done_;
+  };
+
+  /// Queue `job` on this task's I/O lane: one worker thread, started by
+  /// the first submit and joined when the context is destroyed (the task
+  /// returned, threw or was killed), that runs the task's jobs one at a
+  /// time in submission order.
+  [[nodiscard]] LaneTicket submit(std::function<void()> job);
+
   /// ---- runtime-internal (used by collectives.cpp) ----------------------------
   /// Per-task collective sequence counter; SPMD execution order guarantees
   /// the same collective gets the same sequence number on every task.
@@ -104,6 +138,8 @@ class TaskContext {
   support::Rng rng_;
   support::Rng shared_rng_;
   std::uint64_t collective_seq_ = 0;
+  struct Lane;
+  std::unique_ptr<Lane> lane_;
 };
 
 }  // namespace drms::rt

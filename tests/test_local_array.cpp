@@ -294,11 +294,12 @@ AxisCase random_axis(drms::support::Rng& rng) {
   return axis;
 }
 
-/// Seeded sweep of the run walker behind extract/insert: ranks 1-4,
-/// element sizes 1, 8 and 24, axes that span their mapped extent and axes
-/// that do not, strided and index-list ranges anywhere. Both directions
-/// are checked byte for byte against a per-element reference built from
-/// offset_of.
+/// Seeded sweep of the run walker behind extract/insert/copy_from: ranks
+/// 1-4, element sizes 1, 8 and 24, axes that span their mapped extent and
+/// axes that do not, strided and index-list ranges anywhere. Both
+/// directions are checked byte for byte against a per-element reference
+/// built from offset_of, and the two-sided copy against extract + insert
+/// between the two differently mapped sections.
 class LocalArrayRunWalker : public ::testing::TestWithParam<int> {};
 
 TEST_P(LocalArrayRunWalker, MatchesPerElementReference) {
@@ -349,6 +350,20 @@ TEST_P(LocalArrayRunWalker, MatchesPerElementReference) {
     const auto got = std::as_const(dst).bytes();
     ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
         << sub.to_string() << " into " << dst.mapped().to_string();
+
+    LocalArray copied(dst.mapped(), elem);
+    const auto unset = copied.bytes();
+    std::fill(unset.begin(), unset.end(), kSentinel);
+    MutationLog log;
+    copied.attach_mutation_log(&log);
+    copied.copy_from(src, sub);
+    const auto direct = std::as_const(copied).bytes();
+    ASSERT_TRUE(std::equal(direct.begin(), direct.end(), got.begin(),
+                           got.end()))
+        << sub.to_string() << " copied from " << src.mapped().to_string()
+        << " into " << dst.mapped().to_string();
+    ASSERT_EQ(log.slices.size(), 1u);
+    EXPECT_EQ(log.slices[0], sub);
   }
 }
 

@@ -3,9 +3,13 @@
 // sweeps over (source tasks grid, destination grid, shadow widths).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <utility>
 
+#include "core/exchange.hpp"
 #include "core/redistribute.hpp"
+#include "obs/recorder.hpp"
 #include "support/error.hpp"
 #include "rt/task_group.hpp"
 #include "test_helpers.hpp"
@@ -87,6 +91,56 @@ TEST(Redistribute, IdentityRedistributionIsANoOpOnValues) {
     EXPECT_EQ(count_mapped_mismatches(array, ctx.rank()), 0);
   });
   EXPECT_TRUE(result.completed);
+}
+
+TEST(Redistribute, EveryTaskKeepsPartOfItsSectionUnderANewShadowWidth) {
+  // Grid 2x2x1 without shadows to grid 2x1x2 with width-2 shadows: every
+  // task's new mapped section holds part of its own old section, which
+  // it copies across directly, and parts that arrive from other tasks.
+  constexpr int kP = 4;
+  const Slice box = cube(10);
+  const DistSpec from =
+      DistSpec::block(box, std::array<int, 3>{2, 2, 1},
+                      std::array<Index, 3>{0, 0, 0});
+  const DistSpec to = DistSpec::block(box, std::array<int, 3>{2, 1, 2},
+                                      std::array<Index, 3>{2, 2, 2});
+  for (int t = 0; t < kP; ++t) {
+    const Slice kept = from.assigned(t).intersect(to.mapped(t));
+    ASSERT_FALSE(kept.empty()) << t;
+    ASSERT_LT(kept.element_count(), to.mapped(t).element_count()) << t;
+  }
+  // The byte counters count every piece, the kept ones included.
+  std::uint64_t piece_bytes = 0;
+  for (int s = 0; s < kP; ++s) {
+    for (int d = 0; d < kP; ++d) {
+      piece_bytes += static_cast<std::uint64_t>(
+                         from.assigned(s).intersect(to.mapped(d))
+                             .element_count()) *
+                     sizeof(double);
+    }
+  }
+  drms::obs::Recorder recorder;
+  TaskGroup group(placement_of(kP));
+  DistArray array("u", box, sizeof(double), kP);
+  const auto result = group.run([&](TaskContext& ctx) {
+    if (ctx.rank() == 0) {
+      array.install_distribution(from);
+    }
+    ctx.barrier();
+    fill_assigned_tagged(array, ctx.rank());
+    ctx.barrier();
+    LocalArray staged(to.mapped(ctx.rank()), sizeof(double));
+    exchange_sections(ctx, from.assigned_slices(), &array.local(ctx.rank()),
+                      to.mapped_slices(), &staged, sizeof(double), &recorder);
+    redistribute(ctx, array, to);
+    EXPECT_EQ(count_mapped_mismatches(array, ctx.rank()), 0);
+    EXPECT_TRUE(std::ranges::equal(std::as_const(staged).bytes(),
+                                   std::as_const(array.local(ctx.rank()))
+                                       .bytes()));
+  });
+  EXPECT_TRUE(result.completed) << result.kill_reason;
+  EXPECT_EQ(recorder.counter("exchange.bytes_sent"), piece_bytes);
+  EXPECT_EQ(recorder.counter("exchange.bytes_received"), piece_bytes);
 }
 
 TEST(ArrayAssign, CopiesBetweenDifferentlyDistributedArrays) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "rt/collectives.hpp"
 #include "rt/task_context.hpp"
@@ -20,6 +23,31 @@ using drms::support::ByteBuffer;
 
 drms::sim::Placement placement_of(int tasks) {
   return Placement::one_per_node(Machine::paper_sp16(), tasks);
+}
+
+/// Lane threads that have exited: a job calls mark_lane_thread(), whose
+/// thread-local counter counts its thread's exit.
+std::atomic<int> g_lane_exits{0};
+
+struct LaneExitCounter {
+  ~LaneExitCounter() { g_lane_exits.fetch_add(1); }
+};
+
+void mark_lane_thread() {
+  thread_local const LaneExitCounter counter;
+  (void)counter;
+}
+
+/// Waits, yielding, until the group is killed.
+void wait_for_kill(const TaskContext& ctx) {
+  for (;;) {
+    try {
+      ctx.check_killed();
+    } catch (const drms::support::TaskKilled&) {
+      return;
+    }
+    std::this_thread::yield();
+  }
 }
 
 TEST(TaskGroup, RunsEveryRankExactlyOnce) {
@@ -375,6 +403,143 @@ TEST(TaskContext, PerTaskRngIsDeterministicPerSeed) {
     });
   }
   EXPECT_EQ(a0, b0);
+}
+
+// ---- the I/O lane -----------------------------------------------------------
+
+TEST(TaskContext, LaneRunsJobsInSubmissionOrderOnOneThreadNotTheTasks) {
+  constexpr int kJobs = 40;
+  TaskGroup group(placement_of(3));
+  const auto result = group.run([](TaskContext& ctx) {
+    std::vector<int> order;
+    std::vector<std::thread::id> ran_on;
+    std::vector<TaskContext::LaneTicket> tickets;
+    for (int i = 0; i < kJobs; ++i) {
+      tickets.push_back(ctx.submit([&order, &ran_on, i] {
+        order.push_back(i);
+        ran_on.push_back(std::this_thread::get_id());
+      }));
+    }
+    // The last job runs after every earlier one, on the same thread.
+    tickets.back().wait();
+    ASSERT_EQ(order.size(), static_cast<std::size_t>(kJobs));
+    for (int i = 0; i < kJobs; ++i) {
+      EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+      EXPECT_EQ(ran_on[static_cast<std::size_t>(i)], ran_on.front());
+    }
+    EXPECT_NE(ran_on.front(), std::this_thread::get_id());
+    tickets.clear();
+    // A later job still runs on the task's one lane.
+    std::thread::id later;
+    ctx.submit([&later] { later = std::this_thread::get_id(); }).wait();
+    EXPECT_EQ(later, ran_on.front());
+  });
+  EXPECT_TRUE(result.completed) << result.kill_reason;
+}
+
+TEST(TaskContext, LaneJobErrorComesBackThroughItsTicket) {
+  TaskGroup group(placement_of(2));
+  const auto result = group.run([](TaskContext& ctx) {
+    auto failed =
+        ctx.submit([] { throw drms::support::IoError("lane job failed"); });
+    EXPECT_TRUE(failed.pending());
+    try {
+      failed.wait();
+      ADD_FAILURE() << "the job's error was lost";
+    } catch (const drms::support::IoError& e) {
+      EXPECT_STREQ(e.what(), "lane job failed");
+    }
+    EXPECT_FALSE(failed.pending());
+    // The lane outlives a failed job.
+    int value = 0;
+    ctx.submit([&value] { value = 7; }).wait();
+    EXPECT_EQ(value, 7);
+  });
+  EXPECT_TRUE(result.completed) << result.kill_reason;
+}
+
+TEST(TaskContext, LaneIsJoinedWhenTheTaskReturns) {
+  g_lane_exits = 0;
+  TaskGroup group(placement_of(3));
+  const auto result = group.run([](TaskContext& ctx) {
+    ctx.submit(mark_lane_thread).wait();
+  });
+  EXPECT_TRUE(result.completed) << result.kill_reason;
+  EXPECT_EQ(g_lane_exits.load(), 3);
+}
+
+TEST(TaskContext, LaneIsJoinedWhenTheTaskThrows) {
+  g_lane_exits = 0;
+  TaskGroup group(placement_of(3));
+  const auto result = group.run([](TaskContext& ctx) {
+    ctx.submit(mark_lane_thread).wait();
+    if (ctx.rank() == 1) {
+      throw drms::support::Error("synthetic failure");
+    }
+    ctx.barrier();  // the others are killed here
+  });
+  EXPECT_FALSE(result.completed);
+  ASSERT_EQ(result.errors.size(), 1u);
+  EXPECT_EQ(g_lane_exits.load(), 3);
+}
+
+TEST(TaskContext, LaneIsJoinedWhenTheTaskIsKilledWithAJobInFlight) {
+  g_lane_exits = 0;
+  TaskGroup group(placement_of(2));
+  std::promise<void> started;
+  std::atomic<bool> finished{false};
+  const auto result = group.run([&](TaskContext& ctx) {
+    if (ctx.rank() == 0) {
+      const auto ticket = ctx.submit([&] {
+        mark_lane_thread();
+        started.set_value();
+        wait_for_kill(ctx);
+        finished = true;
+      });
+      ctx.barrier();  // never completes: the group is killed
+    } else {
+      started.get_future().wait();
+      group.kill("node lost");
+    }
+  });
+  EXPECT_TRUE(result.killed);
+  EXPECT_TRUE(result.errors.empty());
+  EXPECT_TRUE(finished.load());
+  EXPECT_EQ(g_lane_exits.load(), 1);
+}
+
+TEST(TaskContext, TicketDestroyedDuringAnUnwindWaitsForItsJob) {
+  TaskGroup group(placement_of(2));
+  std::promise<void> unwinding;
+  std::promise<void> release;
+  const auto result = group.run([&](TaskContext& ctx) {
+    if (ctx.rank() == 1) {
+      unwinding.get_future().wait();
+      release.set_value();
+      return;
+    }
+    bool landed = false;
+    try {
+      std::vector<int> staging(4096, 0);
+      const auto ticket = ctx.submit([&] {
+        release.get_future().wait();
+        std::fill(staging.begin(), staging.end(), 7);
+        landed = true;
+      });
+      // Destroyed before the ticket: the unwind has begun, the job is
+      // still blocked.
+      struct Signal {
+        std::promise<void>& done;
+        ~Signal() { done.set_value(); }
+      } signal{unwinding};
+      throw std::runtime_error("unwind");
+    } catch (const std::runtime_error&) {
+      // The ticket held the unwind until the job had finished with the
+      // staging it freed.
+      EXPECT_TRUE(landed);
+    }
+  });
+  EXPECT_TRUE(result.completed) << result.kill_reason;
 }
 
 }  // namespace

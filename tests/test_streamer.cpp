@@ -5,9 +5,14 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -17,6 +22,7 @@
 #include "rt/task_group.hpp"
 #include "store/fault_injection_backend.hpp"
 #include "store/memory_backend.hpp"
+#include "support/page_pool.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -487,6 +493,278 @@ TEST(Streamer, EveryFailedPipelinedReadFailsTheGroup) {
                                        std::to_string(victim.block_index) +
                                        ": stored CRC mismatch"))
       << corrupt.kill_reason;
+}
+
+// ---- the I/O lane and uninitialized staging --------------------------------
+
+/// A number no other thread of the process gets, unlike a thread id,
+/// which the system may hand to a new thread once the old one has exited.
+int thread_serial() {
+  static std::atomic<int> next{0};
+  thread_local const int serial = next++;
+  return serial;
+}
+
+/// An in-memory file that logs the offset and thread of every positioned
+/// read and write.
+class ThreadLoggingFile final : public drms::store::FileObject {
+ public:
+  struct Op {
+    std::uint64_t offset;
+    int thread;
+  };
+
+  void write_at(std::uint64_t offset,
+                std::span<const std::byte> data) override {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (bytes_.size() < offset + data.size()) {
+      bytes_.resize(offset + data.size());
+    }
+    std::copy(data.begin(), data.end(),
+              bytes_.begin() + static_cast<std::ptrdiff_t>(offset));
+    ops_.push_back({offset, thread_serial()});
+  }
+  void write_zeros_at(std::uint64_t offset, std::uint64_t count) override {
+    write_at(offset, std::vector<std::byte>(count));
+  }
+  [[nodiscard]] std::vector<std::byte> read_at(
+      std::uint64_t offset, std::uint64_t count) const override {
+    std::vector<std::byte> out(count);
+    read_at_into(offset, out);
+    return out;
+  }
+  void read_at_into(std::uint64_t offset,
+                    std::span<std::byte> out) const override {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (offset + out.size() > bytes_.size()) {
+      throw drms::support::IoError("read past end of file");
+    }
+    std::copy_n(bytes_.begin() + static_cast<std::ptrdiff_t>(offset),
+                out.size(), out.begin());
+    ops_.push_back({offset, thread_serial()});
+  }
+  void append(std::span<const std::byte> data) override {
+    write_at(size(), data);
+  }
+  [[nodiscard]] std::uint64_t size() const override {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return bytes_.size();
+  }
+  [[nodiscard]] const std::string& name() const override { return name_; }
+
+  std::vector<Op> take_ops() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return std::exchange(ops_, {});
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<std::byte> bytes_;
+  mutable std::vector<Op> ops_;
+  std::string name_ = "logged";
+};
+
+TEST(Streamer, EachTaskCarriesEveryRoundOnItsOneIoThread) {
+  constexpr int kP = 3;
+  const Slice box = cube(16);
+  constexpr std::uint64_t kChunk = 512;  // 64 chunks: 22 rounds
+  const StreamPlan plan = make_stream_plan(box, sizeof(double), kP, kChunk);
+  ASSERT_GE(plan.chunk_count(), 60u);
+  const auto file = std::make_shared<ThreadLoggingFile>();
+  TaskGroup group(placement_of(kP));
+  DistArray array("u", box, sizeof(double), kP);
+  std::array<int, kP> task_thread{};
+  std::vector<ThreadLoggingFile::Op> writes;
+  std::vector<ThreadLoggingFile::Op> reads;
+  const auto result = group.run([&](TaskContext& ctx) {
+    task_thread[static_cast<std::size_t>(ctx.rank())] = thread_serial();
+    if (ctx.rank() == 0) {
+      array.install_distribution(
+          DistSpec::block_auto(box, kP, std::vector<Index>(3, 1)));
+    }
+    ctx.barrier();
+    fill_assigned_tagged(array, ctx.rank());
+    ctx.barrier();
+    const ArrayStreamer streamer(nullptr, {}, kChunk);
+    streamer.write_section(ctx, array, box, FileHandle(file), 0, kP);
+    if (ctx.rank() == 0) {
+      writes = file->take_ops();
+    }
+    ctx.barrier();
+    streamer.read_section(ctx, array, box, FileHandle(file), 0, kP);
+    if (ctx.rank() == 0) {
+      reads = file->take_ops();
+    }
+  });
+  ASSERT_TRUE(result.completed) << result.kill_reason;
+
+  // Chunk c is carried by task c mod P.
+  for (const auto& [what, ops] :
+       {std::pair{"write", &writes}, std::pair{"read", &reads}}) {
+    ASSERT_EQ(ops->size(), plan.chunk_count()) << what;
+    std::array<std::set<int>, kP> threads;
+    for (const ThreadLoggingFile::Op& op : *ops) {
+      const auto at = std::lower_bound(plan.offsets.begin(),
+                                       plan.offsets.end(), op.offset);
+      ASSERT_TRUE(at != plan.offsets.end() && *at == op.offset) << what;
+      const auto chunk = static_cast<std::size_t>(at - plan.offsets.begin());
+      threads[chunk % kP].insert(op.thread);
+    }
+    for (std::size_t t = 0; t < kP; ++t) {
+      EXPECT_EQ(threads[t].size(), 1u) << what << " task " << t;
+      EXPECT_EQ(threads[t].count(task_thread[t]), 0u) << what << " task " << t;
+    }
+  }
+}
+
+/// Fills 4 MiB of page-pool units with 0xA5 and releases them, keeping
+/// each slab mapped through the returned buffer of its first unit, so
+/// later uninitialized allocations recycle 0xA5 bytes instead of the
+/// kernel's zero pages.
+std::vector<drms::support::PageBuffer> pollute_page_pool() {
+  using drms::support::PageBuffer;
+  std::vector<PageBuffer> units;
+  for (int i = 0; i < 64; ++i) {
+    units.emplace_back(PageBuffer::kUnit, PageBuffer::Init::kUninitialized);
+    std::memset(units.back().data(), 0xA5, PageBuffer::kUnit);
+  }
+  std::vector<PageBuffer> anchors;
+  for (PageBuffer& unit : units) {
+    if (reinterpret_cast<std::uintptr_t>(unit.data()) % PageBuffer::kSlab ==
+        0) {
+      anchors.push_back(std::move(unit));
+    }
+  }
+  return anchors;
+}
+
+/// Stream-order bytes of the tag pattern over `x`.
+std::vector<std::byte> expected_bytes(const Slice& x) {
+  const std::vector<double> stream = expected_stream(x);
+  std::vector<std::byte> out(stream.size() * sizeof(double));
+  std::memcpy(out.data(), stream.data(), out.size());
+  return out;
+}
+
+TEST(Streamer, StagingFromAPollutedPoolRoundTripsAtOneToFourTasks) {
+  // 64 KiB chunks and blocks: every staging slot is a pool unit.
+  const Slice box = cube(64);
+  constexpr std::uint64_t kChunk = drms::support::PageBuffer::kUnit;
+  const std::vector<std::byte> reference = expected_bytes(box);
+  const std::uint32_t reference_crc = drms::support::crc32c(reference);
+  const StreamPlan blocks = make_stream_plan(box, sizeof(double), 1, kChunk);
+  std::vector<std::uint64_t> dirty(blocks.chunk_count());
+  std::iota(dirty.begin(), dirty.end(), 0);
+
+  for (int tasks = 1; tasks <= 4; ++tasks) {
+    const auto anchors = pollute_page_pool();
+    drms::store::MemoryBackend storage;
+    const FileHandle full = storage.create("full");
+    const FileHandle delta = storage.create("delta");
+    TaskGroup group(placement_of(tasks));
+    DistArray src("u", box, sizeof(double), tasks);
+    DistArray read_back("v", box, sizeof(double), tasks);
+    DistArray applied("w", box, sizeof(double), tasks);
+    std::uint32_t write_crc = 0;
+    std::uint32_t read_crc = 0;
+    std::vector<DeltaBlockRecord> records;
+    std::atomic<int> mismatches{0};
+    const auto result = group.run([&](TaskContext& ctx) {
+      if (ctx.rank() == 0) {
+        const DistSpec spec =
+            DistSpec::block_auto(box, tasks, std::vector<Index>(3, 1));
+        for (DistArray* a : {&src, &read_back, &applied}) {
+          a->install_distribution(spec);
+        }
+      }
+      ctx.barrier();
+      fill_assigned_tagged(src, ctx.rank());
+      ctx.barrier();
+      const ArrayStreamer streamer(nullptr, {}, kChunk);
+      std::uint32_t crc = 0;
+      streamer.write_section(ctx, src, box, full, 0, tasks, &crc);
+      if (ctx.rank() == 0) {
+        write_crc = crc;
+      }
+      streamer.read_section(ctx, read_back, box, full, 0, tasks, &crc);
+      if (ctx.rank() == 0) {
+        read_crc = crc;
+      }
+      const auto written = streamer.write_delta_blocks(
+          ctx, src, blocks, dirty, delta, tasks,
+          drms::support::BlockCodec::kLz);
+      if (ctx.rank() == 0) {
+        records = written.records;
+      }
+      streamer.apply_delta_blocks(ctx, applied, blocks, written.records,
+                                  delta, tasks);
+      ctx.barrier();
+      mismatches += count_mapped_mismatches(read_back, ctx.rank()) +
+                    count_mapped_mismatches(applied, ctx.rank());
+    });
+    ASSERT_TRUE(result.completed) << tasks << ": " << result.kill_reason;
+    EXPECT_EQ(mismatches.load(), 0) << tasks;
+    EXPECT_EQ(full.read_at(0, full.size()), reference) << tasks;
+    EXPECT_EQ(write_crc, reference_crc) << tasks;
+    EXPECT_EQ(read_crc, reference_crc) << tasks;
+    ASSERT_EQ(records.size(), blocks.chunk_count()) << tasks;
+    for (const DeltaBlockRecord& r : records) {
+      const auto b = static_cast<std::size_t>(r.block_index);
+      const auto raw = std::span(reference).subspan(
+          static_cast<std::size_t>(blocks.offsets[b]),
+          static_cast<std::size_t>(r.raw_bytes));
+      EXPECT_EQ(r.raw_crc, drms::support::crc32c(raw))
+          << tasks << " block " << b;
+    }
+  }
+}
+
+TEST(Streamer, PartiallyAssignedArrayStreamsZerosAfterPoolPollution) {
+  // Axis 0 values 20..39 are nobody's, so every chunk holds unassigned
+  // elements. Their staging is zeroed: both writes read the same, with
+  // zeros there.
+  const Slice box = cube(64);
+  constexpr int kP = 2;
+  constexpr std::uint64_t kChunk = drms::support::PageBuffer::kUnit;
+  const auto section = [](Index lo, Index hi) {
+    return Slice({Range::contiguous(lo, hi), Range::contiguous(0, 63),
+                  Range::contiguous(0, 63)});
+  };
+  const DistSpec spec(box, {TaskSection{section(0, 19), section(0, 20)},
+                            TaskSection{section(40, 63), section(39, 63)}});
+  ASSERT_FALSE(spec.fully_assigned());
+  drms::store::MemoryBackend storage;
+  TaskGroup group(placement_of(kP));
+  DistArray array("u", box, sizeof(double), kP);
+  for (const char* name : {"a", "b"}) {
+    const auto anchors = pollute_page_pool();
+    const FileHandle file = storage.create(name);
+    const auto result = group.run([&](TaskContext& ctx) {
+      if (ctx.rank() == 0 && !array.distributed()) {
+        array.install_distribution(spec);
+      }
+      ctx.barrier();
+      fill_assigned_tagged(array, ctx.rank());
+      ctx.barrier();
+      const ArrayStreamer streamer(nullptr, {}, kChunk);
+      streamer.write_section(ctx, array, box, file, 0, kP);
+    });
+    ASSERT_TRUE(result.completed) << name << ": " << result.kill_reason;
+  }
+  const FileHandle a = storage.open("a");
+  const std::vector<std::byte> bytes = a.read_at(0, a.size());
+  const FileHandle b = storage.open("b");
+  EXPECT_EQ(b.read_at(0, b.size()), bytes);
+
+  std::vector<double> stream(bytes.size() / sizeof(double));
+  std::memcpy(stream.data(), bytes.data(), bytes.size());
+  std::size_t i = 0;
+  int wrong = 0;
+  box.for_each_column_major([&](std::span<const Index> p) {
+    const bool assigned = p[0] < 20 || p[0] >= 40;
+    wrong += stream[i++] != (assigned ? tag_of(p) : 0.0);
+  });
+  EXPECT_EQ(wrong, 0);
 }
 
 }  // namespace
