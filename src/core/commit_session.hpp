@@ -5,20 +5,17 @@
 // manifest lands as the LAST write. The session sequences an engine's
 // storage mutations around that rule:
 //
-//   decommit  task 0 removes the prefix's old manifest, and waits for the
-//             removal, before any file under the prefix is touched
-//   data      the engine's own writes, through submit()
-//   publish   the meta record, a completion barrier over every queued
-//             write, then the manifest
+//   decommit  task 0 removes the prefix's old manifest before any file
+//             under the prefix is touched
+//   data      the engine's own writes, each wrapped in retry_io with the
+//             session's retry_policy()
+//   publish   the meta record, then the manifest
 //
 // The engines decide only which files they write and what their manifest
-// lists. Without an attached checkpoint-service session every submission
-// runs inline; with one (attach()), submissions become queued items of
-// the job and barrier() is the job's completion barrier.
+// lists. Every storage call runs in place on the calling task, so the
+// program order of those calls is the order they reach the volume.
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <string>
 
 #include "core/checkpoint_format.hpp"
@@ -27,7 +24,6 @@
 #include "sim/cost_model.hpp"
 #include "store/storage_backend.hpp"
 #include "support/retry.hpp"
-#include "svc/io_scheduler.hpp"
 
 namespace drms::core {
 
@@ -43,83 +39,32 @@ class CommitSession {
         recorder_(recorder),
         category_(category) {}
 
-  /// Route submissions through `scheduler` under `job`. Both pointers are
-  /// borrowed and must outlive the session's use; nullptrs detach (the
-  /// default, fully synchronous path).
-  void attach(svc::IoScheduler* scheduler, const svc::JobToken* job) {
-    io_ = scheduler;
-    io_job_ = job;
-  }
-
   /// Policy for one labelled storage operation: the recorder observes the
-  /// retries, and an attached job's id seeds deterministic backoff jitter
-  /// so contending jobs desynchronize (see support::retry_backoff).
+  /// retries under `what`.
   [[nodiscard]] support::RetryPolicy retry_policy(const char* what) const;
 
-  /// Run `fn` (which carries its own retry_io wrapping) — synchronously
-  /// without a session, else as a queued FOREGROUND item sharded by
-  /// `file`. Async errors surface at the next barrier().
-  void submit(const std::string& file, std::uint64_t bytes,
-              std::function<void()> fn);
-
-  /// Run `fn`, a read of `bytes` from `file`, and wait for it — as a
-  /// RESTORE-class item when a session is attached. Errors propagate.
-  void read(const std::string& file, std::uint64_t bytes,
-            std::function<void()> fn);
-
-  /// Completion barrier over the job (no-op without a session); rethrows
-  /// the first queued error.
-  void barrier();
-
-  /// Drains the job when its scope exits, on the normal path and on
-  /// exception unwinding alike, so no queued item outlives the locals it
-  /// references. Drain errors are dropped; the original exception
-  /// propagates.
-  class DrainGuard {
-   public:
-    explicit DrainGuard(CommitSession& session) : session_(session) {}
-    DrainGuard(const DrainGuard&) = delete;
-    DrainGuard& operator=(const DrainGuard&) = delete;
-    ~DrainGuard() {
-      try {
-        session_.barrier();
-      } catch (...) {  // NOLINT(bugprone-empty-catch)
-      }
-    }
-
-   private:
-    CommitSession& session_;
-  };
-
   /// Task 0, before the first write under `prefix`: remove its commit
-  /// manifest and wait until the removal completed. Once any file under
-  /// the prefix is touched, the previous state there must not look
-  /// committed.
+  /// manifest. Once any file under the prefix is touched, the previous
+  /// state there must not look committed.
   void decommit(rt::TaskContext& ctx, const std::string& prefix);
 
   /// COLLECTIVE, once every data file is durable: publish the state.
   /// `manifest` lists the data files; the meta record's entry (size and
   /// CRC) goes first and the meta's base prefix is mirrored. Task 0
-  /// writes `meta` to `meta_file`, waits for every queued write, then
-  /// writes the manifest LAST. Returns the modeled publication cost (not
-  /// charged: meta writes were never part of the paper's phase times, and
-  /// it draws no jitter), identical on every task.
+  /// writes `meta` to `meta_file`, then the manifest LAST. Returns the
+  /// modeled publication cost (not charged: meta writes were never part
+  /// of the paper's phase times, and it draws no jitter), identical on
+  /// every task.
   [[nodiscard]] double publish(rt::TaskContext& ctx, const std::string& prefix,
                                const std::string& meta_file,
                                const CheckpointMeta& meta,
                                CommitManifest manifest);
 
  private:
-  [[nodiscard]] bool active() const {
-    return io_ != nullptr && io_job_ != nullptr && io_job_->valid();
-  }
-
   store::StorageBackend& storage_;
   sim::LoadContext load_;
   obs::Recorder* recorder_;
   const char* category_;
-  svc::IoScheduler* io_ = nullptr;
-  const svc::JobToken* io_job_ = nullptr;
 };
 
 }  // namespace drms::core

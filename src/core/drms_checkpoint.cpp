@@ -241,39 +241,26 @@ CheckpointTiming DrmsCheckpoint::write(rt::TaskContext& ctx,
   obs::ScopedSpan segment_span(
       recorder_, "ckpt", "segment", ctx.rank(), t0,
       {obs::Attr::num("bytes", static_cast<std::int64_t>(total_bytes))});
-  const CommitSession::DrainGuard drain(session_);
 
   if (ctx.rank() == 0) {
     session_.decommit(ctx, prefix);
-    // The whole segment-file sequence is ONE queued item: its steps are
-    // internally ordered, and sharding by file name lets it overlap the
-    // array creates below on another shard.
-    session_.submit(
-        segment_file_name(prefix), total_bytes,
-        [this, &prefix, &replicated, total_bytes, payload_end,
-         header = encode_segment_header(
-             SegmentHeader{replicated.size(), total_bytes})] {
-          store::FileHandle seg = support::retry_io(
-              [&] { return storage_.create(segment_file_name(prefix)); },
-              session_.retry_policy("segment.create"));
-          support::retry_io([&] { seg.write_at(0, header.bytes()); },
-                            session_.retry_policy("segment.write"));
-          support::retry_io(
-              [&] {
-                seg.write_at(wire::kSegmentHeaderBytes, replicated.bytes());
-              },
-              session_.retry_policy("segment.write"));
-          if (total_bytes > payload_end) {
-            // The private/system/local-section components of the data
-            // segment: logically written (time and size accounted),
-            // stored sparsely.
-            support::retry_io(
-                [&] {
-                  seg.write_zeros_at(payload_end, total_bytes - payload_end);
-                },
-                session_.retry_policy("segment.write"));
-          }
-        });
+    const support::ByteBuffer header =
+        encode_segment_header(SegmentHeader{replicated.size(), total_bytes});
+    store::FileHandle seg = support::retry_io(
+        [&] { return storage_.create(segment_file_name(prefix)); },
+        session_.retry_policy("segment.create"));
+    support::retry_io([&] { seg.write_at(0, header.bytes()); },
+                      session_.retry_policy("segment.write"));
+    support::retry_io(
+        [&] { seg.write_at(wire::kSegmentHeaderBytes, replicated.bytes()); },
+        session_.retry_policy("segment.write"));
+    if (total_bytes > payload_end) {
+      // The private/system/local-section components of the data segment:
+      // logically written (time and size accounted), stored sparsely.
+      support::retry_io(
+          [&] { seg.write_zeros_at(payload_end, total_bytes - payload_end); },
+          session_.retry_policy("segment.write"));
+    }
   }
   if (storage_.charges_time()) {
     ctx.charge(storage_.single_write_seconds(
@@ -290,14 +277,9 @@ CheckpointTiming DrmsCheckpoint::write(rt::TaskContext& ctx,
       const std::string file_name =
           plan.delta ? delta_array_file_name(prefix, a->name())
                      : array_file_name(prefix, a->name());
-      session_.submit(file_name, 0, [this, file_name] {
-        support::retry_io([&] { storage_.create(file_name); },
-                          session_.retry_policy("array.create"));
-      });
+      support::retry_io([&] { storage_.create(file_name); },
+                        session_.retry_policy("array.create"));
     }
-    // Everything queued so far — the segment sequence and the array
-    // creates — must be durable before any rank opens these files.
-    session_.barrier();
   }
   ctx.barrier();
 
@@ -414,24 +396,18 @@ void DrmsCheckpoint::write_delta_array(rt::TaskContext& ctx,
   h.payload_bytes = res.stored_bytes;
   h.raw_bytes = res.raw_bytes;
   h.index_offset = wire::kDeltaHeaderBytes + res.stored_bytes;
-  support::ByteBuffer index_buf = encode_delta_index(res.records);
+  const support::ByteBuffer index_buf = encode_delta_index(res.records);
   const std::uint64_t tail_bytes = wire::kDeltaHeaderBytes + index_buf.size();
   am.stream_bytes = h.index_offset + index_buf.size();
   if (ctx.rank() == 0) {
-    session_.submit(file_name, tail_bytes,
-                    [this, file_name, index = std::move(index_buf),
-                     header = encode_delta_header(h),
-                     index_offset = h.index_offset] {
-                      store::FileHandle f = support::retry_io(
-                          [&] { return storage_.open(file_name); },
-                          session_.retry_policy("delta.open"));
-                      support::retry_io(
-                          [&] { f.write_at(index_offset, index.bytes()); },
-                          session_.retry_policy("delta.index"));
-                      support::retry_io(
-                          [&] { f.write_at(0, header.bytes()); },
-                          session_.retry_policy("delta.header"));
-                    });
+    const support::ByteBuffer header = encode_delta_header(h);
+    store::FileHandle f = support::retry_io(
+        [&] { return storage_.open(file_name); },
+        session_.retry_policy("delta.open"));
+    support::retry_io([&] { f.write_at(h.index_offset, index_buf.bytes()); },
+                      session_.retry_policy("delta.index"));
+    support::retry_io([&] { f.write_at(0, header.bytes()); },
+                      session_.retry_policy("delta.header"));
   }
   if (storage_.charges_time()) {
     ctx.charge(storage_.single_write_seconds(tail_bytes, load_, nullptr));
@@ -604,10 +580,9 @@ std::uint64_t DrmsCheckpoint::restore_array_sections(
   const int d = array.global_box().rank();
 
   // Round-robin the runs over `readers` ranks, one exchange round per
-  // group: each active reader pulls its run's raw bytes — as a queued
-  // RESTORE-class item when a session is attached — and one collective
-  // scatters all of the round's runs into the new distribution's mapped
-  // slices at once.
+  // group: each active reader pulls its run's raw bytes, and one
+  // collective scatters all of the round's runs into the new
+  // distribution's mapped slices at once.
   for (std::size_t r0 = 0; r0 < chunks.size();
        r0 += static_cast<std::size_t>(readers)) {
     const int active = static_cast<int>(std::min<std::size_t>(
@@ -625,11 +600,9 @@ std::uint64_t DrmsCheckpoint::restore_array_sections(
       // stream visits the run's own index space in its column-major
       // order, so the raw file bytes land in the staging array as-is.
       staging = LocalArray(run.slice, elem);
-      session_.read(base_name, run.bytes, [&] {
-        support::retry_io(
-            [&] { base_file.read_at_into(run.byte_offset, staging.bytes()); },
-            session_.retry_policy("partial-restore read"));
-      });
+      support::retry_io(
+          [&] { base_file.read_at_into(run.byte_offset, staging.bytes()); },
+          session_.retry_policy("partial-restore read"));
     }
     exchange_sections(ctx, src, me < active ? &staging : nullptr, dst_mapped,
                       &array.local(me), elem, recorder_);

@@ -25,7 +25,6 @@
 #include "sim/cost_model.hpp"
 #include "support/block_codec.hpp"
 #include "support/units.hpp"
-#include "svc/io_scheduler.hpp"
 
 namespace drms::core {
 
@@ -154,28 +153,16 @@ class DrmsCheckpoint {
   /// block reaching past them lands there too, for the caller to
   /// overwrite). No whole-stream CRC is checkable on a subset read —
   /// callers deep-verify the generation first (the supervisor's verify
-  /// phase does); delta blocks keep their per-block CRC checks. With an
-  /// attached I/O session the reads are submitted as RESTORE-class items.
-  /// Returns the bytes read from storage (identical on every task) and
-  /// adds to timing.arrays_seconds.
+  /// phase does); delta blocks keep their per-block CRC checks. Each
+  /// reading task reads its runs itself, as restore_array does. Returns
+  /// the bytes read from storage (identical on every task) and adds to
+  /// timing.arrays_seconds.
   std::uint64_t restore_array_sections(rt::TaskContext& ctx,
                                        const CheckpointMeta& meta,
                                        const CheckpointChain& chain,
                                        DistArray& array,
                                        std::span<const Slice> sections,
                                        RestartTiming& timing);
-
-  /// Attach a checkpoint-service session: write()'s storage mutations are
-  /// submitted to `scheduler` under `job` as FOREGROUND-class items, with
-  /// explicit completion barriers preserving the commit ordering
-  /// (decommit first, every data write before meta, manifest LAST). The
-  /// retry policy also picks up the job id as its deterministic jitter
-  /// seed. Both pointers are borrowed and must outlive the engine's use;
-  /// pass nullptrs to detach (the default, fully synchronous path).
-  void attach_io_session(svc::IoScheduler* scheduler,
-                         const svc::JobToken* job) {
-    session_.attach(scheduler, job);
-  }
 
  private:
   struct GenerationPlan;

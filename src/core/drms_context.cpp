@@ -200,7 +200,6 @@ void DrmsContext::distribute(DistArray& array, const DistSpec& spec) {
             ? env.partial->retained->find(array.name())
             : nullptr;
     if (ra != nullptr) {
-      engine.attach_io_session(env.partial->io, env.partial->io_job);
       partial_restore_array(engine, *env.partial, *ra, array, timing);
       partial_restored_ = true;
     } else {

@@ -130,14 +130,4 @@ const RetainedArray* RetainedJobState::find(const std::string& name) const {
   return nullptr;
 }
 
-std::uint64_t RetainedJobState::retained_bytes() const {
-  std::uint64_t total = 0;
-  for (const RetainedArray& a : arrays) {
-    for (const LocalArray& l : a.retained) {
-      total += l.byte_size();
-    }
-  }
-  return total;
-}
-
 }  // namespace drms::core

@@ -27,7 +27,6 @@
 #include "core/dist_array.hpp"
 #include "core/local_array.hpp"
 #include "core/slice.hpp"
-#include "svc/io_scheduler.hpp"
 
 namespace drms::core {
 
@@ -91,7 +90,6 @@ struct RetainedJobState {
   /// assigned-section metadata. No-op for out-of-range slots.
   void drop_slot(int slot);
   [[nodiscard]] const RetainedArray* find(const std::string& name) const;
-  [[nodiscard]] std::uint64_t retained_bytes() const;
 };
 
 /// Per-restart plan handed to the restore path through DrmsEnv::partial.
@@ -103,11 +101,6 @@ struct PartialRestorePlan {
   /// slot_lost[s] != 0: slot s of the capturing group lost its memory and
   /// its assigned sections must be read from the generation on storage.
   std::vector<char> slot_lost;
-  /// Optional checkpoint-service session: partial reads are submitted at
-  /// kRestore class (under the supervisor's RestoreGuard) instead of
-  /// running inline. Borrowed; must outlive the restore.
-  svc::IoScheduler* io = nullptr;
-  const svc::JobToken* io_job = nullptr;
 
   [[nodiscard]] int lost_count() const {
     int n = 0;

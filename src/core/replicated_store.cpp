@@ -135,10 +135,4 @@ void ReplicatedStore::deserialize(support::ByteBuffer& in) {
   }
 }
 
-std::uint64_t ReplicatedStore::serialized_size() const {
-  support::ByteBuffer out;
-  serialize(out);
-  return out.size();
-}
-
 }  // namespace drms::core

@@ -50,9 +50,6 @@ class ReplicatedStore {
   /// serialize(). Throws CorruptCheckpoint on CRC or name/type mismatch.
   void deserialize(support::ByteBuffer& in);
 
-  /// Size in bytes of the serialized form (for segment accounting).
-  [[nodiscard]] std::uint64_t serialized_size() const;
-
  private:
   struct Record {
     std::string name;

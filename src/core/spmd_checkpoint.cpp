@@ -40,7 +40,6 @@ CheckpointTiming SpmdCheckpoint::write(rt::TaskContext& ctx,
   // the other tasks back until the old manifest is gone. The barrier is
   // timing-neutral: no simulated time is charged before it, so every
   // task's clock is still t0.
-  const CommitSession::DrainGuard drain(session_);
   if (ctx.rank() == 0) {
     session_.decommit(ctx, prefix);
   }
@@ -69,35 +68,22 @@ CheckpointTiming SpmdCheckpoint::write(rt::TaskContext& ctx,
   obs::ScopedSpan segment_span(
       recorder_, "spmd", "segment", ctx.rank(), ctx.sim_time(),
       {obs::Attr::num("bytes", static_cast<std::int64_t>(total_bytes))});
-  // This rank's whole task-segment sequence is ONE queued item, sharded
-  // by its private file name: with a session attached, independent ranks'
-  // segments land on independent shard queues and overlap.
   const std::string task_file_name = spmd_task_file_name(prefix, ctx.rank());
   support::ByteBuffer head;
   head.put_u64(body.size());
   head.put_u32(crc);
-  session_.submit(
-      task_file_name, total_bytes,
-      [this, task_file_name, &head, &body, total_bytes, payload_end] {
-        store::FileHandle file = support::retry_io(
-            [&] { return storage_.create(task_file_name); },
-            session_.retry_policy("segment.create"));
-        support::retry_io([&] { file.write_at(0, head.bytes()); },
-                          session_.retry_policy("segment.write"));
-        support::retry_io([&] { file.write_at(head.size(), body.bytes()); },
-                          session_.retry_policy("segment.write"));
-        if (total_bytes > payload_end) {
-          support::retry_io(
-              [&] {
-                file.write_zeros_at(payload_end, total_bytes - payload_end);
-              },
-              session_.retry_policy("segment.write"));
-        }
-      });
-  // Explicit completion barrier: the publication below reads every task
-  // file's size, so each rank drains the job before the collective
-  // barrier — once all ranks pass it, every queued segment is durable.
-  session_.barrier();
+  store::FileHandle file = support::retry_io(
+      [&] { return storage_.create(task_file_name); },
+      session_.retry_policy("segment.create"));
+  support::retry_io([&] { file.write_at(0, head.bytes()); },
+                    session_.retry_policy("segment.write"));
+  support::retry_io([&] { file.write_at(head.size(), body.bytes()); },
+                    session_.retry_policy("segment.write"));
+  if (total_bytes > payload_end) {
+    support::retry_io(
+        [&] { file.write_zeros_at(payload_end, total_bytes - payload_end); },
+        session_.retry_policy("segment.write"));
+  }
   segment_span.end(ctx.sim_time());
 
   // Every task file must be durable before task 0 publishes the state;

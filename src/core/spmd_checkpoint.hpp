@@ -62,17 +62,6 @@ class SpmdCheckpoint {
   void restore_array_from(SpmdRestoreCursor& cursor, DistArray& array,
                           int rank) const;
 
-  /// Attach a checkpoint-service session (see DrmsCheckpoint): each
-  /// rank's task-segment write becomes one queued FOREGROUND item sharded
-  /// by its file name, so independent ranks overlap across shards; every
-  /// rank drains the job with an explicit completion barrier before the
-  /// collective barrier that precedes publication, preserving the
-  /// manifest-last ordering (the manifest reads every task file's size).
-  void attach_io_session(svc::IoScheduler* scheduler,
-                         const svc::JobToken* job) {
-    session_.attach(scheduler, job);
-  }
-
  private:
   store::StorageBackend& storage_;
   sim::LoadContext load_;

@@ -268,7 +268,7 @@ RecoveryReport RecoverySupervisor::run(const SupervisorOptions& options,
       }
       core::VerifyResult v;
       if (io != nullptr) {
-        // RESTORE-class item: beats queued foreground writes and drains.
+        // RESTORE-class item: dequeued ahead of queued drains and encodes.
         io->submit(io_job, svc::Priority::kRestore, c.prefix, 0, 0.0, [&] {
             v = core::verify_checkpoint(storage, c, /*deep=*/true);
           }).wait();
@@ -398,8 +398,6 @@ RecoveryReport RecoverySupervisor::run(const SupervisorOptions& options,
           plan.slot_lost[static_cast<std::size_t>(s)] = 1;
         }
       }
-      plan.io = io;
-      plan.io_job = io != nullptr ? &io_job : nullptr;
       if (rec != nullptr) {
         rec->count("recover.partial.attempted");
       }

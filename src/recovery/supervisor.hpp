@@ -86,10 +86,12 @@ struct SupervisorOptions {
   obs::Recorder* recorder = nullptr;
   /// Optional checkpoint-service scheduler. When set, the supervisor
   /// registers as a job, submits each deep verify as a RESTORE-class item
-  /// (restores beat queued foreground writes and drains), and holds a
-  /// RestoreGuard from the start of verify until the relaunched solver's
-  /// first iteration hook — background tier drains are parked for the
-  /// whole bring-back-up window instead of contending with it.
+  /// (the most urgent class, dequeued ahead of queued drains and
+  /// encodes), and holds a RestoreGuard from the start of verify until
+  /// the relaunched solver's first iteration hook — background tier
+  /// drains are parked for the whole bring-back-up window instead of
+  /// contending with it. The restore itself, partial or full, reads on
+  /// the restarting tasks.
   svc::IoScheduler* scheduler = nullptr;
   /// Fired after a kNodeLoss schedule event lands, with the failed node's
   /// id. Harness hook for coupling the cluster to a redundancy-encoded

@@ -6,27 +6,13 @@
 // other exception — including plain IoError — propagates immediately.
 // Simulated time is never charged for retries; transients model request
 // hiccups beneath the resolution of the paper's cost model.
-//
-// Two multi-tenant refinements, both off by default (the default policy
-// is bit-for-bit the legacy behaviour):
-//   * Deterministic seeded jitter. A nonzero jitter_seed draws each
-//     attempt's backoff uniformly from [step/2, step] with an Rng seeded
-//     from (jitter_seed, attempt), so N contending jobs with distinct
-//     seeds desynchronize instead of retrying in lockstep against the
-//     same saturated server.
-//   * Bounded TOTAL backoff. The legacy policy bounds each attempt but
-//     not their sum; total_backoff_budget caps the cumulative sleep, so
-//     a retry storm cannot stall a checkpoint longer than the budget
-//     regardless of the attempt count.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
 #include <thread>
 
 #include "support/error.hpp"
-#include "support/rng.hpp"
 
 namespace drms::support {
 
@@ -45,15 +31,6 @@ struct RetryPolicy {
   int attempts = 4;
   /// Real (wall-clock) backoff before attempt k is 2^(k-1) * base.
   std::chrono::microseconds backoff_base{50};
-  /// Cap on the SUM of backoff sleeps across all attempts. 0 = unbounded
-  /// (legacy: only each attempt's backoff is bounded). A backoff that
-  /// would overshoot is clamped to the remainder; once the budget is
-  /// spent, the next transient rethrows instead of sleeping again.
-  std::chrono::microseconds total_backoff_budget{0};
-  /// Nonzero: jitter each backoff deterministically (see file comment).
-  /// Distinct seeds — e.g. per-job scheduler token ids — desynchronize
-  /// contending retriers; 0 keeps the exact legacy backoff sequence.
-  std::uint64_t jitter_seed = 0;
   /// Optional retry observer (null: no accounting, the zero-overhead
   /// default) and the operation label it sees.
   RetryObserver* observer = nullptr;
@@ -61,31 +38,19 @@ struct RetryPolicy {
 };
 
 /// Backoff before retrying after failed attempt k (1-based): the
-/// exponential step, jittered into [step/2, step] when the policy has a
-/// jitter seed. Deterministic: a pure function of (policy, attempt).
+/// exponential step 2^(k-1) * base.
 [[nodiscard]] inline std::chrono::microseconds retry_backoff(
     const RetryPolicy& policy, int attempt) {
-  // Saturate the exponent: a large attempt budget (total_backoff_budget
-  // is what bounds the storm then) must not shift past the int width —
-  // 2^30 * base is already hours of backoff for any sane base.
-  const std::chrono::microseconds step =
-      policy.backoff_base * (1 << std::min(attempt - 1, 30));
-  if (policy.jitter_seed == 0) {
-    return step;
-  }
-  Rng rng(policy.jitter_seed * 0x9e3779b97f4a7c15ull +
-          static_cast<std::uint64_t>(attempt));
-  const double factor = 0.5 + 0.5 * rng.next_double();  // [0.5, 1.0)
-  return std::chrono::microseconds(static_cast<std::int64_t>(
-      static_cast<double>(step.count()) * factor));
+  // Saturate the exponent: a large attempt budget must not shift past the
+  // int width — 2^30 * base is already hours of backoff for any sane base.
+  return policy.backoff_base * (1 << std::min(attempt - 1, 30));
 }
 
 /// Run `op`, retrying on TransientIoError per `policy`. Returns op()'s
-/// result; rethrows the last TransientIoError when the attempt budget —
-/// or the total backoff budget — is spent.
+/// result; rethrows the last TransientIoError when the attempt budget is
+/// spent.
 template <typename Op>
 decltype(auto) retry_io(Op&& op, const RetryPolicy& policy = {}) {
-  std::chrono::microseconds slept{0};
   for (int attempt = 1;; ++attempt) {
     try {
       return op();
@@ -96,23 +61,7 @@ decltype(auto) retry_io(Op&& op, const RetryPolicy& policy = {}) {
       if (attempt >= policy.attempts) {
         throw;
       }
-      std::chrono::microseconds backoff = retry_backoff(policy, attempt);
-      if (policy.total_backoff_budget.count() > 0) {
-        // Truncate the FINAL sleep to exactly the remaining budget rather
-        // than overshooting it — and the retry that truncated sleep pays
-        // for still runs. Only once the budget is spent to the last
-        // microsecond does the next transient rethrow instead of
-        // sleeping again (the budget bounds the sleeps, never the
-        // attempt a completed sleep already bought).
-        const std::chrono::microseconds remaining =
-            policy.total_backoff_budget - slept;
-        if (remaining.count() <= 0) {
-          throw;  // total budget exactly exhausted
-        }
-        backoff = std::min(backoff, remaining);
-      }
-      std::this_thread::sleep_for(backoff);
-      slept += backoff;
+      std::this_thread::sleep_for(retry_backoff(policy, attempt));
     }
   }
 }

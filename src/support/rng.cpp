@@ -37,10 +37,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   return lo + static_cast<std::int64_t>(next_u64() % span);
 }
 
-double Rng::uniform_real(double lo, double hi) noexcept {
-  return lo + (hi - lo) * next_double();
-}
-
 double Rng::next_gaussian() noexcept {
   // Box-Muller; guard against log(0).
   double u1 = next_double();

@@ -22,9 +22,6 @@ class Rng {
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo,
                                          std::int64_t hi) noexcept;
 
-  /// Uniform real in [lo, hi).
-  [[nodiscard]] double uniform_real(double lo, double hi) noexcept;
-
   /// Standard normal via Box-Muller (one value per call; no caching so the
   /// stream stays position-independent).
   [[nodiscard]] double next_gaussian() noexcept;

@@ -26,16 +26,4 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-double mean_of(std::span<const double> xs) noexcept {
-  RunningStats s;
-  for (double x : xs) s.add(x);
-  return s.mean();
-}
-
-double stddev_of(std::span<const double> xs) noexcept {
-  RunningStats s;
-  for (double x : xs) s.add(x);
-  return s.stddev();
-}
-
 }  // namespace drms::support

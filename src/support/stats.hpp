@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 namespace drms::support {
 
@@ -27,9 +26,5 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// One-shot helpers.
-[[nodiscard]] double mean_of(std::span<const double> xs) noexcept;
-[[nodiscard]] double stddev_of(std::span<const double> xs) noexcept;
 
 }  // namespace drms::support

@@ -73,7 +73,7 @@ DrainTicket submit_drain(IoScheduler& scheduler, const JobToken& job,
 
 /// Snapshot the fast tier's staged-but-unencoded work list and queue one
 /// DRAIN-class item per file (fragment encoding is background protection
-/// traffic: it yields to restores and foreground checkpoints, and a
+/// traffic: it yields to the supervisor's RESTORE-class verify, and a
 /// RestoreGuard parks it with the drains). Items race benignly with
 /// writers and GC — a file encoded, re-created, or removed in the
 /// meantime drops out of the report.

@@ -52,8 +52,6 @@ void Completion::wait() const {
 
 struct JobState {
   std::string name;
-  std::uint64_t id = 0;
-  QosLimits limits;
   std::mutex mutex;
   std::condition_variable cv;
   /// Items submitted and not yet finished (queued or running).
@@ -105,16 +103,6 @@ JobToken& JobToken::operator=(JobToken&& other) noexcept {
 }
 
 JobToken::~JobToken() { release(); }
-
-const std::string& JobToken::name() const {
-  DRMS_EXPECTS_MSG(valid(), "name of an invalid job token");
-  return state_->name;
-}
-
-std::uint64_t JobToken::id() const {
-  DRMS_EXPECTS_MSG(valid(), "id of an invalid job token");
-  return state_->id;
-}
 
 void JobToken::release() {
   if (state_ == nullptr) {
@@ -211,14 +199,12 @@ IoScheduler::~IoScheduler() {
   }
 }
 
-JobToken IoScheduler::register_job(std::string name, QosLimits limits) {
+JobToken IoScheduler::register_job(std::string name) {
   auto state = std::make_shared<JobState>();
   state->name = std::move(name);
-  state->limits = limits;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     DRMS_EXPECTS_MSG(!stopping_, "register_job on a stopping scheduler");
-    state->id = next_job_id_++;
     jobs_.push_back(state);
   }
   if (recorder_ != nullptr) {
@@ -252,14 +238,8 @@ Completion IoScheduler::submit(const JobToken& job, Priority priority,
   const std::shared_ptr<JobState>& state = job.state_;
   const int pri = static_cast<int>(priority);
 
-  // Admission control: block at the job's in-flight budget.
   {
-    std::unique_lock<std::mutex> lock(state->mutex);
-    if (state->limits.max_inflight > 0) {
-      state->cv.wait(lock, [&] {
-        return state->inflight < state->limits.max_inflight;
-      });
-    }
+    const std::lock_guard<std::mutex> lock(state->mutex);
     ++state->inflight;
   }
 

@@ -4,21 +4,23 @@
 // into an async event-queue model (the DAOS event-queue / per-target
 // servicing lineage): callers register as JOBS, submit I/O work items
 // tagged with a PRIORITY CLASS and a SHARD KEY, and continue while
-// per-shard server queues execute the items on worker threads. The three
-// design commitments:
+// per-shard server queues execute the items on worker threads.
 //
-//   * Priority classes. RESTORE (a recovery reading state back) beats
-//     FOREGROUND (an application checkpointing on its critical path)
-//     beats DRAIN (background fast->slow tier traffic). Queued drain
-//     items never delay a queued restore: each shard dequeues the most
-//     urgent class first, and a RestoreGuard can defer the whole drain
-//     class while a recovery is in flight.
+// The service carries background work and the recovery supervisor's
+// deep verify, nothing on a checkpoint's or a restore's data path: both
+// engines make their writes and reads on the application's own tasks
+// (the paper's checkpoint is blocking). The design commitments:
 //
-//   * Per-job QoS tokens. register_job() returns a JobToken carrying the
-//     job's admission limits; a job at its max_inflight budget blocks in
-//     submit() until its own completions catch up, so one tenant cannot
-//     monopolize the queues. barrier(job) is the per-job completion
-//     barrier the engines use to preserve manifest-last commit ordering.
+//   * Priority classes. RESTORE (the supervisor's deep verify of the
+//     generation it will restart from) beats FOREGROUND beats DRAIN
+//     (background fast->slow tier drains and redundancy encodes). Queued
+//     drain items never delay a queued restore: each shard dequeues the
+//     most urgent class first, and a RestoreGuard can defer the whole
+//     drain class while a recovery is in flight.
+//
+//   * Per-job tokens. register_job() returns a JobToken; barrier(job)
+//     waits for every item the job submitted so far and rethrows the
+//     job's first error, so async errors surface like synchronous ones.
 //
 //   * Sharded server queues. Work lands on FNV-1a(shard_key) %
 //     shard_count queues (svc::shard_of) with independent locks and
@@ -54,19 +56,14 @@ namespace drms::svc {
 
 /// Urgency of one work item; lower enumerator = dequeued first.
 enum class Priority : int {
-  kRestore = 0,     ///< recovery restore/verify reads
-  kForeground = 1,  ///< application checkpoint writes (critical path)
-  kDrain = 2,       ///< background tier-drain copies
+  kRestore = 0,  ///< the recovery supervisor's deep verify
+  /// No library traffic: bench_contention's synthetic tenants and the
+  /// fleet simulator's modeled checkpoint writes (QueueModel).
+  kForeground = 1,
+  kDrain = 2,  ///< background tier drains and redundancy encodes
 };
 inline constexpr int kPriorityClasses = 3;
 [[nodiscard]] const char* to_string(Priority p) noexcept;
-
-/// Admission-control limits of one job (0 = unlimited).
-struct QosLimits {
-  /// Items a job may have queued or running at once; submit() blocks at
-  /// the budget until the job's own completions free a slot.
-  int max_inflight = 0;
-};
 
 /// Aggregated per-priority-class service statistics.
 struct ClassStats {
@@ -83,9 +80,9 @@ class IoScheduler;
 /// Shared per-job bookkeeping (defined in io_scheduler.cpp).
 struct JobState;
 
-/// One job's registration. Move-only RAII: destruction deregisters (after
-/// waiting for the job's in-flight items). The token's id doubles as a
-/// per-job deterministic seed (e.g. for retry-backoff jitter).
+/// One job's registration: the handle its items are submitted and its
+/// barrier() waits under. Move-only RAII: destruction deregisters (after
+/// waiting for the job's in-flight items).
 class JobToken {
  public:
   JobToken() = default;
@@ -96,9 +93,6 @@ class JobToken {
   ~JobToken();
 
   [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
-  [[nodiscard]] const std::string& name() const;
-  /// Stable nonzero id, unique within the scheduler.
-  [[nodiscard]] std::uint64_t id() const;
   /// Release the registration early (idempotent; waits for in-flight
   /// items like the destructor).
   void release();
@@ -147,13 +141,13 @@ class IoScheduler {
   ~IoScheduler();
 
   // ---- tenancy --------------------------------------------------------------
-  [[nodiscard]] JobToken register_job(std::string name, QosLimits limits = {});
+  /// Register a job; `name` labels it.
+  [[nodiscard]] JobToken register_job(std::string name);
 
   // ---- submission -----------------------------------------------------------
   /// Queue one work item. `bytes` and `sim_seconds` describe the item for
   /// QoS accounting and the virtual service clock (both may be 0); `fn`
-  /// performs the real storage operation on a worker thread. Blocks while
-  /// the job is at its max_inflight budget.
+  /// performs the real storage operation on a worker thread.
   Completion submit(const JobToken& job, Priority priority,
                     std::string_view shard_key, std::uint64_t bytes,
                     double sim_seconds, std::function<void()> fn);
@@ -227,7 +221,6 @@ class IoScheduler {
   mutable std::mutex mutex_;  // jobs, stats, pause/guard state
   std::condition_variable idle_cv_;
   std::vector<std::shared_ptr<JobState>> jobs_;
-  std::uint64_t next_job_id_ = 1;
   ClassStats stats_[kPriorityClasses];
   std::vector<double> wait_samples_[kPriorityClasses];
   bool paused_ = false;

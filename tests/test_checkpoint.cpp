@@ -7,11 +7,9 @@
 
 #include "core/drms_checkpoint.hpp"
 #include "core/redistribute.hpp"
-#include "obs/recorder.hpp"
 #include "support/error.hpp"
 #include "core/spmd_checkpoint.hpp"
 #include "rt/task_group.hpp"
-#include "svc/io_scheduler.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -46,13 +44,9 @@ struct TestState {
   }
 };
 
-/// Write a DRMS checkpoint of a tagged n^3 array from t1 tasks. A
-/// non-null `io` attaches a checkpoint-service session: the engine's
-/// writes go through the scheduler's queues instead of running inline.
+/// Write a DRMS checkpoint of a tagged n^3 array from t1 tasks.
 void write_drms_checkpoint(Volume& volume, int t1, Index n,
-                           const std::string& prefix,
-                           drms::svc::IoScheduler* io = nullptr,
-                           const drms::svc::JobToken* job = nullptr) {
+                           const std::string& prefix) {
   TaskGroup group(placement_of(t1));
   DistArray array("u", cube(n), sizeof(double), t1);
   const auto result = group.run([&](TaskContext& ctx) {
@@ -73,9 +67,6 @@ void write_drms_checkpoint(Volume& volume, int t1, Index n,
     state.register_in(store);
 
     DrmsCheckpoint engine(volume, {});
-    if (io != nullptr) {
-      engine.attach_io_session(io, job);
-    }
     const std::array<DistArray*, 1> arrays{&array};
     const auto timing = engine.write(ctx, prefix, "testapp", 7, store,
                                      arrays, small_segment());
@@ -316,9 +307,7 @@ TEST(DrmsCheckpoint, AlternatingPrefixesSurviveATornCheckpoint) {
 // SPMD baseline
 // ---------------------------------------------------------------------------
 
-void spmd_round_trip(Volume& volume, int tasks, Index n,
-                     drms::svc::IoScheduler* io = nullptr,
-                     const drms::svc::JobToken* job = nullptr) {
+void spmd_round_trip(Volume& volume, int tasks, Index n) {
   const std::string prefix = "sp";
   // Write.
   {
@@ -339,9 +328,6 @@ void spmd_round_trip(Volume& volume, int tasks, Index n,
       ReplicatedStore store;
       state.register_in(store);
       SpmdCheckpoint engine(volume, {});
-      if (io != nullptr) {
-        engine.attach_io_session(io, job);
-      }
       const std::array<DistArray*, 1> arrays{&array};
       engine.write(ctx, prefix, "testapp", 1, store, arrays,
                    small_segment());
@@ -393,67 +379,6 @@ TEST(SpmdCheckpoint, StateGrowsLinearlyWithTasks) {
   Volume v8(16);
   spmd_round_trip(v8, 8, 8);
   EXPECT_EQ(spmd_state_size(v8, "sp"), 4 * spmd_state_size(v2, "sp"));
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint-service I/O sessions (drms::svc)
-// ---------------------------------------------------------------------------
-
-/// Every file of `expected` must exist in `actual` with identical bytes
-/// (and vice versa): the queued write path may not perturb the format.
-void expect_volumes_identical(Volume& expected, Volume& actual) {
-  const auto names = expected.backend().list();
-  EXPECT_EQ(names.size(), actual.backend().list().size());
-  for (const auto& name : names) {
-    ASSERT_TRUE(actual.exists(name)) << name;
-    const auto size = expected.backend().file_size(name);
-    ASSERT_EQ(actual.backend().file_size(name), size) << name;
-    EXPECT_EQ(expected.open(name).read_at(0, size),
-              actual.open(name).read_at(0, size))
-        << name;
-  }
-}
-
-TEST(DrmsCheckpoint, IoSessionWriteIsByteIdenticalAndRestorable) {
-  Volume sync_vol(16);
-  write_drms_checkpoint(sync_vol, 4, 8, "ck");
-
-  Volume async_vol(16);
-  drms::obs::Recorder recorder;
-  drms::svc::IoScheduler::Options opts;
-  opts.shard_count = 4;
-  opts.recorder = &recorder;
-  drms::svc::IoScheduler scheduler(opts);
-  const drms::svc::JobToken job = scheduler.register_job("testapp");
-  write_drms_checkpoint(async_vol, 4, 8, "ck", &scheduler, &job);
-
-  // The async writes really went through the queues...
-  EXPECT_GT(recorder.counter("svc.submit.foreground"), 0u);
-  EXPECT_EQ(recorder.counter("svc.fail.foreground"), 0u);
-  // ...and produced byte-for-byte the synchronous engine's state, still
-  // restorable on a different task count (the reconfigurable contract).
-  expect_volumes_identical(sync_vol, async_vol);
-  restore_and_check(async_vol, 6, 8, "ck");
-}
-
-TEST(SpmdCheckpoint, IoSessionWriteIsByteIdenticalAndRestorable) {
-  Volume sync_vol(16);
-  spmd_round_trip(sync_vol, 4, 8);
-
-  Volume async_vol(16);
-  drms::obs::Recorder recorder;
-  drms::svc::IoScheduler::Options opts;
-  opts.shard_count = 4;
-  opts.recorder = &recorder;
-  drms::svc::IoScheduler scheduler(opts);
-  const drms::svc::JobToken job = scheduler.register_job("testapp");
-  // spmd_round_trip restores after writing, so this both byte-checks the
-  // queued per-task segment writes and proves the state restorable.
-  spmd_round_trip(async_vol, 4, 8, &scheduler, &job);
-
-  EXPECT_GT(recorder.counter("svc.submit.foreground"), 0u);
-  EXPECT_EQ(recorder.counter("svc.fail.foreground"), 0u);
-  expect_volumes_identical(sync_vol, async_vol);
 }
 
 TEST(SpmdCheckpoint, ReconfiguredRestartIsImpossible) {

@@ -32,7 +32,6 @@
 #include "store/memory_backend.hpp"
 #include "store/piofs_backend.hpp"
 #include "store/tiered_backend.hpp"
-#include "svc/io_scheduler.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -55,17 +54,13 @@ AppSegmentModel tiny_segment() {
   return m;
 }
 
-/// kQueued is the memory stack written through an attached checkpoint-
-/// service session: a 4-shard IoScheduler, so a crash lands while other
-/// queued items are still in flight.
-enum class BackendKind { kMemory, kPiofs, kTiered, kQueued };
+enum class BackendKind { kMemory, kPiofs, kTiered };
 
 const char* to_string(BackendKind kind) {
   switch (kind) {
     case BackendKind::kMemory: return "Memory";
     case BackendKind::kPiofs: return "Piofs";
     case BackendKind::kTiered: return "Tiered";
-    case BackendKind::kQueued: return "Queued";
   }
   return "?";
 }
@@ -78,10 +73,6 @@ struct Stack {
   std::unique_ptr<drms::store::MemoryBackend> memory;
   std::unique_ptr<drms::store::TieredBackend> tiered;
   std::unique_ptr<FaultInjectionBackend> fault;
-  /// kQueued only; declared after `fault` so pending items drain before
-  /// the backend goes away.
-  std::unique_ptr<drms::svc::IoScheduler> io;
-  drms::svc::JobToken job;
 };
 
 Stack make_stack(BackendKind kind) {
@@ -89,7 +80,6 @@ Stack make_stack(BackendKind kind) {
   drms::store::StorageBackend* inner = nullptr;
   switch (kind) {
     case BackendKind::kMemory:
-    case BackendKind::kQueued:
       s.memory = std::make_unique<drms::store::MemoryBackend>();
       inner = s.memory.get();
       break;
@@ -108,23 +98,14 @@ Stack make_stack(BackendKind kind) {
       break;
   }
   s.fault = std::make_unique<FaultInjectionBackend>(*inner);
-  if (kind == BackendKind::kQueued) {
-    drms::svc::IoScheduler::Options opts;
-    opts.shard_count = 4;
-    s.io = std::make_unique<drms::svc::IoScheduler>(opts);
-    s.job = s.io->register_job("sweep");
-  }
   return s;
 }
 
-/// One full checkpoint attempt through the public engine API, with the
-/// engine attached to `io` under `job` when given. Returns the group
-/// outcome: `completed == false` when an injected fault killed it.
+/// One full checkpoint attempt through the public engine API. Returns the
+/// group outcome: `completed == false` when an injected fault killed it.
 auto attempt_checkpoint(drms::store::StorageBackend& storage,
                         CheckpointMode mode, const std::string& prefix,
-                        std::int64_t sop,
-                        drms::svc::IoScheduler* io = nullptr,
-                        const drms::svc::JobToken* job = nullptr) {
+                        std::int64_t sop) {
   TaskGroup group(placement_of(kTasks));
   DistArray array("u", cube(kN), sizeof(double), kTasks);
   return group.run([&](TaskContext& ctx) {
@@ -142,30 +123,23 @@ auto attempt_checkpoint(drms::store::StorageBackend& storage,
     const std::array<DistArray*, 1> arrays{&array};
     if (mode == CheckpointMode::kDrms) {
       DrmsCheckpoint engine(storage, {});
-      engine.attach_io_session(io, job);
       (void)engine.write(ctx, prefix, "sweep", sop, store, arrays,
                          tiny_segment());
     } else {
       SpmdCheckpoint engine(storage, {});
-      engine.attach_io_session(io, job);
       (void)engine.write(ctx, prefix, "sweep", sop, store, arrays,
                          tiny_segment());
     }
   });
 }
 
-auto attempt_checkpoint(Stack& s, CheckpointMode mode,
-                        const std::string& prefix, std::int64_t sop) {
-  return attempt_checkpoint(*s.fault, mode, prefix, sop, s.io.get(), &s.job);
-}
-
 /// Count the mutations of one checkpoint under prefix B on a stack that
 /// already holds a committed state under prefix A (the sweep scenario).
 std::uint64_t mutation_count(CheckpointMode mode, BackendKind kind) {
   Stack s = make_stack(kind);
-  EXPECT_TRUE(attempt_checkpoint(s, mode, "sweep.a", 1).completed);
+  EXPECT_TRUE(attempt_checkpoint(*s.fault, mode, "sweep.a", 1).completed);
   const std::uint64_t after_a = s.fault->mutation_ops();
-  EXPECT_TRUE(attempt_checkpoint(s, mode, "sweep.b", 2).completed);
+  EXPECT_TRUE(attempt_checkpoint(*s.fault, mode, "sweep.b", 2).completed);
   return s.fault->mutation_ops() - after_a;
 }
 
@@ -178,10 +152,10 @@ void crash_at_and_check(CheckpointMode mode, BackendKind kind,
   SCOPED_TRACE(std::string(to_string(kind)) + " crash index " +
                std::to_string(i));
   Stack s = make_stack(kind);
-  ASSERT_TRUE(attempt_checkpoint(s, mode, "sweep.a", 1).completed);
+  ASSERT_TRUE(attempt_checkpoint(*s.fault, mode, "sweep.a", 1).completed);
 
   s.fault->arm_crash(i, style);
-  const auto result = attempt_checkpoint(s, mode, "sweep.b", 2);
+  const auto result = attempt_checkpoint(*s.fault, mode, "sweep.b", 2);
   EXPECT_FALSE(result.completed);
   EXPECT_TRUE(s.fault->crashed());
   s.fault->disarm();
@@ -256,9 +230,7 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_pair(CheckpointMode::kDrms, BackendKind::kTiered),
         std::make_pair(CheckpointMode::kSpmd, BackendKind::kMemory),
         std::make_pair(CheckpointMode::kSpmd, BackendKind::kPiofs),
-        std::make_pair(CheckpointMode::kSpmd, BackendKind::kTiered),
-        std::make_pair(CheckpointMode::kDrms, BackendKind::kQueued),
-        std::make_pair(CheckpointMode::kSpmd, BackendKind::kQueued)),
+        std::make_pair(CheckpointMode::kSpmd, BackendKind::kTiered)),
     [](const auto& info) {
       return std::string(info.param.first == CheckpointMode::kDrms
                              ? "Drms"

@@ -392,8 +392,9 @@ TEST(Recovery, GivesUpWhenTheLaunchBudgetIsExhausted) {
 
 /// A supervised SP job on TieredBackend(RedundantBackend, PIOFS). After
 /// every SOP the new generation is encoded and then drained through the
-/// IoScheduler, and one node is lost after the first SOP. The lost slot
-/// must come back from the fast tier alone: one partial recovery, the
+/// IoScheduler, which the supervisor also runs its verify and restore
+/// guard on, and one node is lost after the first SOP. The lost slot must
+/// come back from the fast tier alone: one partial recovery, the
 /// failure-free fingerprint, and not one slow-tier read.
 void expect_partial_recovery_from_the_fast_tier(
     store::RedundancyScheme scheme) {
@@ -415,6 +416,7 @@ void expect_partial_recovery_from_the_fast_tier(
   o.partial_restore = true;
   o.policy = &policy;
   o.backoff_base = std::chrono::microseconds(1);
+  o.scheduler = &io;
   int protected_sops = 0;
   o.solver.on_iteration = [&](std::int64_t it, TaskContext& ctx) {
     if (ctx.rank() != 0 || it % kCheckpointEvery != 0) {
@@ -453,6 +455,13 @@ void expect_partial_recovery_from_the_fast_tier(
   EXPECT_GE(protected_sops, 1) << scheme.describe();
   EXPECT_GT(volume.stats().bytes_written, 0u) << scheme.describe();
   EXPECT_EQ(volume.stats().read_ops, 0u) << scheme.describe();
+  // The scheduler's RESTORE class carried the supervisor's deep verifies
+  // (one per recovery, plus one per generation it fell back past) and
+  // nothing else: the partial restore reads on the restarting tasks.
+  EXPECT_EQ(io.class_stats(svc::Priority::kRestore).submitted,
+            report.recoveries.size() +
+                static_cast<std::size_t>(report.generation_fallbacks))
+      << scheme.describe();
 }
 
 TEST(Recovery, PartnerTierRecoversALostNodeWithoutSlowReads) {

@@ -478,32 +478,11 @@ TEST(Errors, TaskKilledIsNotAnError) {
 }
 
 TEST(Retry, DefaultPolicyKeepsTheExactLegacyBackoffSequence) {
-  RetryPolicy policy;  // jitter_seed == 0, no total budget
+  RetryPolicy policy;
   using std::chrono::microseconds;
   EXPECT_EQ(retry_backoff(policy, 1), microseconds(50));
   EXPECT_EQ(retry_backoff(policy, 2), microseconds(100));
   EXPECT_EQ(retry_backoff(policy, 3), microseconds(200));
-}
-
-TEST(Retry, SeededJitterIsDeterministicAndBounded) {
-  RetryPolicy policy;
-  policy.jitter_seed = 7;
-  for (int attempt = 1; attempt <= 4; ++attempt) {
-    const auto step = RetryPolicy{}.backoff_base * (1 << (attempt - 1));
-    const auto jittered = retry_backoff(policy, attempt);
-    // Drawn from [step/2, step], and a pure function of (seed, attempt).
-    EXPECT_GE(jittered, step / 2) << attempt;
-    EXPECT_LE(jittered, step) << attempt;
-    EXPECT_EQ(jittered, retry_backoff(policy, attempt)) << attempt;
-  }
-  // Distinct seeds desynchronize: at least one attempt must differ.
-  RetryPolicy other = policy;
-  other.jitter_seed = 8;
-  bool any_differ = false;
-  for (int attempt = 1; attempt <= 4; ++attempt) {
-    any_differ |= retry_backoff(policy, attempt) != retry_backoff(other, attempt);
-  }
-  EXPECT_TRUE(any_differ);
 }
 
 TEST(Retry, RetriesTransientsUpToTheAttemptBudget) {
@@ -533,68 +512,9 @@ TEST(Retry, RetriesTransientsUpToTheAttemptBudget) {
   EXPECT_EQ(calls, 3);  // budget bounds the attempts
 }
 
-TEST(Retry, TotalBackoffBudgetBoundsTheCumulativeSleep) {
-  // A generous attempt budget but a 3 ms total sleep budget: the retry
-  // storm must give up once the cumulative backoff is spent, well before
-  // the attempt count is.
-  RetryPolicy policy;
-  policy.attempts = 1000;
-  policy.backoff_base = std::chrono::microseconds(1000);  // 1,2,4,... ms
-  policy.total_backoff_budget = std::chrono::microseconds(3000);
-  int calls = 0;
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_THROW(retry_io(
-                   [&calls]() -> int {
-                     ++calls;
-                     throw TransientIoError("saturated");
-                   },
-                   policy),
-               TransientIoError);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  // Sleeps 1 ms, 2 ms (clamped to the remaining budget), then rethrows:
-  // far fewer than the 1000 allowed attempts.
-  EXPECT_LE(calls, 4);
-  EXPECT_GE(elapsed, std::chrono::microseconds(3000));
-}
-
-TEST(Retry, ExactBudgetExhaustionStillRunsThePaidForAttempt) {
-  // Budget == the sum of the first two backoffs (1 ms + 2 ms) exactly.
-  // The budget bounds the SLEEPS, never the attempt a completed sleep
-  // already bought: attempt 3 (paid for by the second sleep) must still
-  // run, and can succeed.
-  RetryPolicy policy;
-  policy.attempts = 1000;
-  policy.backoff_base = std::chrono::microseconds(1000);
-  policy.total_backoff_budget = std::chrono::microseconds(3000);
-  int calls = 0;
-  const int got = retry_io(
-      [&calls] {
-        if (++calls < 3) {
-          throw TransientIoError("hiccup");
-        }
-        return 7;
-      },
-      policy);
-  EXPECT_EQ(got, 7);
-  EXPECT_EQ(calls, 3);
-
-  // When attempt 3 also fails, the exactly-exhausted budget rethrows
-  // without sleeping again: three calls, never a fourth.
-  calls = 0;
-  EXPECT_THROW(retry_io(
-                   [&calls]() -> int {
-                     ++calls;
-                     throw TransientIoError("saturated");
-                   },
-                   policy),
-               TransientIoError);
-  EXPECT_EQ(calls, 3);
-}
-
 TEST(Retry, HugeAttemptIndicesSaturateInsteadOfOverflowing) {
-  // attempts can legitimately be huge when total_backoff_budget is what
-  // bounds the storm; the exponential step must saturate, not shift past
-  // the int width into undefined behaviour.
+  // A policy may set a huge attempt budget; the exponential step must
+  // saturate, not shift past the int width into undefined behaviour.
   RetryPolicy policy;
   EXPECT_EQ(retry_backoff(policy, 40), retry_backoff(policy, 31));
   EXPECT_GT(retry_backoff(policy, 1000).count(), 0);

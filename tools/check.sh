@@ -22,12 +22,12 @@
 #
 # TSAN=1 switches from ASan/UBSan to ThreadSanitizer (default build dir:
 # build-tsan) and, unless TARGETS/CTEST_ARGS narrow it, bounds the run to
-# the concurrency-heavy suites: the I/O scheduler (svc), both engines'
-# writes through shard workers (IoSession), the tiered-store
+# the concurrency-heavy suites: the I/O scheduler (svc), the tiered-store
 # drain/restore races, the pipelined streamer and its serial channels, the
-# recorder, the recovery supervisor, the page pool every task and I/O
-# lane allocates from, the task runtime and its I/O lanes, and the
-# exchange and run walker the lanes' staging passes through. As in the
+# recorder, the recovery supervisor (its verify and restore guard on a live
+# scheduler included), the page pool every task and I/O lane allocates
+# from, the task runtime and its I/O lanes, and the exchange and run
+# walker the lanes' staging passes through. As in the
 # asan_gate ctest, each name anchors at the start of a suite name, so a
 # stale binary of a target outside TARGETS is never selected, and the two
 # tests of other suites that the unanchored names matched are named
@@ -58,8 +58,8 @@ if [[ -n "${tsan}" ]]; then
   # TSan mode defaults to the scheduler/drain race suites; an explicit
   # TARGETS/CTEST_ARGS pair overrides the bound.
   if [[ -z "${TARGETS:-}" && -z "${CTEST_ARGS:-}" ]]; then
-    TARGETS="test_svc test_store test_streamer test_sequential_channel test_obs test_recovery test_partial_recovery test_redundancy test_delta test_adapt test_checkpoint test_support test_rt test_redistribute test_local_array"
-    CTEST_ARGS="-R (^|/)(Svc|IoScheduler|TieredBackend|Streamer|SequentialStreaming|InMemoryPipe|FileChannel|Obs|Recovery|Redundan|Delta|Partial|StreamRuns|Adapt|DrmsCheckpoint.IoSession|SpmdCheckpoint.IoSession|PagePool|TaskGroup|TaskContext|Collectives|Redistribute|ArrayAssign|LocalArray|ByteBuffer.LengthPrefixedUnderflowThrowsBeforePartialRead|PiofsBackend.AdapterIsBitIdenticalWithTheVolume)"
+    TARGETS="test_svc test_store test_streamer test_sequential_channel test_obs test_recovery test_partial_recovery test_redundancy test_delta test_adapt test_support test_rt test_redistribute test_local_array"
+    CTEST_ARGS="-R (^|/)(Svc|IoScheduler|TieredBackend|Streamer|SequentialStreaming|InMemoryPipe|FileChannel|Obs|Recovery|Redundan|Delta|Partial|StreamRuns|Adapt|PagePool|TaskGroup|TaskContext|Collectives|Redistribute|ArrayAssign|LocalArray|ByteBuffer.LengthPrefixedUnderflowThrowsBeforePartialRead|PiofsBackend.AdapterIsBitIdenticalWithTheVolume)"
   fi
 fi
 
